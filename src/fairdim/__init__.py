@@ -2,9 +2,10 @@
 the error gap between two sensitive groups."""
 
 from .dataset import DataError, GroupedData, RawTable, balance, center_and_split, load_grouped, load_table
-from .linalg import EigenPairs, LinalgError, frobenius_norm_sq, matmul, scaled_gram, sym_eig_top_r
+from .linalg import EigenPairs, LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import (
     GroupMetrics,
+    Moments,
     PrivilegeAssignment,
     avg_reconstruction_error,
     avg_reconstruction_error_direct,
@@ -12,15 +13,18 @@ from .metrics import (
     fairness_measure,
     group_metrics,
     identify_privileged,
+    moment_metrics,
 )
 from .fairpca import (
     FairFitResult,
     GoldenSectionResult,
+    Prepared,
     SearchConfig,
     c_fpca,
     classical_pca,
     fair_projection,
     golden_section,
+    prepare,
     u_fpca,
     weighted_covariance,
 )

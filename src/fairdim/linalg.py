@@ -1,10 +1,12 @@
-"""Dense real-matrix helpers and a cyclic-Jacobi symmetric eigensolver.
+"""Dense real-matrix helpers and the symmetric eigensolver.
 
 Matrices are plain 2-D float64 numpy arrays. Every public operation
 validates its inputs (shape, finiteness, symmetry where required) so that
 bad data fails loudly at the boundary instead of corrupting results
-downstream. All functions are pure and deterministic: identical input
-bytes give identical output bytes.
+downstream. The eigendecomposition is LAPACK's symmetric solver
+(``numpy.linalg.eigh``); a solver failure raises ``LinalgError`` rather
+than returning unconverged pairs. All functions are pure and
+deterministic: identical input bytes give identical output bytes.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ __all__ = [
     "LinalgError",
     "EigenPairs",
     "as_matrix",
-    "matmul",
-    "frobenius_norm_sq",
     "scaled_gram",
     "sym_eig_top_r",
 ]
 
-# Convergence / validation tolerances for the eigensolver.
-_OFFDIAG_TOL = 1e-12     # stop when off-diagonal norm <= tol * ||C||_F
-_MAX_SWEEPS = 100
+# Validation tolerances for the eigensolver's input and output.
 _SYMMETRY_RTOL = 1e-9    # max allowed |C - C^T| relative to ||C||_F
 _ORTHO_TOL = 1e-9        # eigenvector orthonormality check
 
@@ -43,23 +41,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise LinalgError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit dimension checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise LinalgError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def frobenius_norm_sq(a) -> float:
-    """Sum of squared entries of ``a``."""
-    arr = as_matrix(a, "a")
-    return float(np.sum(arr * arr))
 
 
 def scaled_gram(x, divisor: int) -> np.ndarray:
@@ -100,78 +81,6 @@ class EigenPairs:
         self.vectors.setflags(write=False)
 
 
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row pairs (p, q) in a fixed order, each rotation zeroing a[p, q]
-    exactly; stops once the off-diagonal Frobenius norm drops below
-    _OFFDIAG_TOL * ||a||_F or after _MAX_SWEEPS sweeps. Returns unordered
-    eigenvalues and the accumulated rotation matrix (columns = eigenvectors).
-
-    Because the matrix stays exactly symmetric, the rotated column p equals
-    the rotated row p outside the pivot block, so each rotation only reads
-    two contiguous rows and mirror-writes them; no strided reads. The
-    eigenvector accumulator is kept row-major (one eigenvector per row) for
-    the same reason and transposed once at the end.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    vt = np.eye(n)  # row j is eigenvector j
-    scale = math.sqrt(float(np.sum(a * a)))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), vt
-    target = _OFFDIAG_TOL * scale
-    # Entries at or below `floor` are left alone within a sweep: even if every
-    # off-diagonal entry sits at this level, the off-norm stays under target.
-    floor = target / n
-
-    for sweep in range(_MAX_SWEEPS):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        off_norm = math.sqrt(float(np.sum(off * off)))
-        if off_norm <= target:
-            break
-        # early sweeps skip entries far below the current off-diagonal level;
-        # they get mopped up once the big ones are gone
-        thresh = max(0.2 * off_norm / n, floor) if sweep < 4 else floor
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if abs(theta) > 1e150:
-                    # asymptotic small root; avoids overflow in theta**2
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                co = 1.0 / math.sqrt(t * t + 1.0)
-                si = t * co
-
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                new_p = co * rp - si * rq
-                new_q = si * rp + co * rq
-                # pivot block closed forms are exact; the rest mirrors by symmetry
-                new_p[p] = app - t * apq
-                new_p[q] = 0.0
-                new_q[p] = 0.0
-                new_q[q] = aqq + t * apq
-                a[p, :] = new_p
-                a[q, :] = new_q
-                a[:, p] = new_p
-                a[:, q] = new_q
-
-                vp = vt[p, :].copy()
-                vq = vt[q, :].copy()
-                vt[p, :] = co * vp - si * vq
-                vt[q, :] = si * vp + co * vq
-
-    return np.diag(a).copy(), vt.T.copy()
-
-
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     # Flip so the largest-magnitude component (lowest index on ties) is positive.
     i = int(np.argmax(np.abs(vec)))
@@ -183,8 +92,9 @@ def sym_eig_top_r(c, r: int) -> EigenPairs:
 
     Ordering is by signed value, not magnitude: for indefinite matrices the
     trace-maximizing subspace takes the largest signed eigenvalues. Ties are
-    broken by the solver's original output order (stable sort), and each
-    eigenvector's sign is canonicalized, so output is deterministic.
+    broken by the solver's original (ascending) output order through a
+    stable sort, and each eigenvector's sign is canonicalized, so output is
+    deterministic. Raises ``LinalgError`` if LAPACK fails to converge.
     """
     c = as_matrix(c, "c")
     n, m = c.shape
@@ -196,7 +106,10 @@ def sym_eig_top_r(c, r: int) -> EigenPairs:
     if not 1 <= r <= n:
         raise LinalgError(f"rank must satisfy 1 <= r <= {n}, got {r}")
 
-    values, vectors = _jacobi_eigh((c + c.T) * 0.5)
+    try:
+        values, vectors = np.linalg.eigh((c + c.T) * 0.5)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")[:r]
     top_values = values[order].copy()
     top_vectors = np.column_stack([_canonical_sign(vectors[:, j]) for j in order])

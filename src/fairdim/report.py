@@ -17,7 +17,15 @@ from pathlib import Path
 from time import perf_counter
 
 from .dataset import DataError, GroupedData
-from .fairpca import FairFitResult, SearchConfig, c_fpca, classical_pca, u_fpca
+from .fairpca import (
+    FairFitResult,
+    Prepared,
+    SearchConfig,
+    c_fpca,
+    classical_pca,
+    prepare,
+    u_fpca,
+)
 
 __all__ = [
     "METHODS",
@@ -65,14 +73,14 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _fit_one(g: GroupedData, r: int, method: str, config: SearchConfig) -> SweepRow:
+def _fit_one(p: Prepared, r: int, method: str, config: SearchConfig) -> SweepRow:
     start = perf_counter()
     if method == "pca":
-        fit = classical_pca(g, r)
+        fit = classical_pca(p, r)
     elif method == "ufpca":
-        fit = u_fpca(g, r, config)
+        fit = u_fpca(p, r, config)
     elif method == "cfpca":
-        fit = c_fpca(g, r, config)
+        fit = c_fpca(p, r, config)
     else:
         raise ValueError(f"unknown method {method!r}")
     elapsed_ms = int(round((perf_counter() - start) * 1000.0))
@@ -100,16 +108,19 @@ def run_sweep(
 ) -> SweepReport:
     """Fit all methods for every rank 1..max_rank.
 
-    Cells are independent pure computations, so with ``threads > 1`` they
-    run on a thread pool; rows are always assembled in (rank, method)
-    order regardless of completion order.
+    The second moments and the one plain-PCA eigendecomposition serving
+    every rank are computed once, before any cell starts. Cells only read
+    them and are otherwise independent pure computations, so with
+    ``threads > 1`` they run on a thread pool; rows are always assembled
+    in (rank, method) order regardless of completion order.
     """
+    p = prepare(g, max_rank)
     cells = [(r, method) for r in range(1, max_rank + 1) for method in METHODS]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _fit_one(g, c[0], c[1], config), cells))
+            rows = list(pool.map(lambda c: _fit_one(p, c[0], c[1], config), cells))
     else:
-        rows = [_fit_one(g, r, method, config) for r, method in cells]
+        rows = [_fit_one(p, r, method, config) for r, method in cells]
     return SweepReport(dataset_id=dataset_id, balanced=balanced, rows=tuple(rows))
 
 
@@ -130,9 +141,10 @@ def _row_record(report: SweepReport, row: SweepRow) -> dict:
     return record
 
 
-def fit_record(fit: FairFitResult, labels: tuple[str, str] | None = None) -> dict:
+def fit_record(fit: FairFitResult) -> dict:
     """JSON-ready record for a single fit; the projection rides along so
-    the output is directly usable for transforming new data."""
+    the output is directly usable for transforming new data. The group
+    role labels close the record when the fit carries them."""
     m = fit.metrics
     record = {
         "method": fit.method,
@@ -147,9 +159,9 @@ def fit_record(fit: FairFitResult, labels: tuple[str, str] | None = None) -> dic
         "budget": None if fit.budget is None else float(fit.budget),
         "projection": [[float(v) for v in row] for row in fit.u],
     }
-    if labels is not None:
-        record["privileged"] = labels[0]
-        record["harmed"] = labels[1]
+    if fit.privileged is not None:
+        record["privileged"] = fit.privileged
+        record["harmed"] = fit.harmed
     return record
 
 

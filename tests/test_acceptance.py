@@ -19,6 +19,7 @@ from fairdim.fairpca import (
     c_fpca,
     classical_pca,
     fair_projection,
+    prepare,
     u_fpca,
 )
 from fairdim.linalg import scaled_gram, sym_eig_top_r
@@ -51,7 +52,7 @@ def _real_dataset(name):
 
 def _grid_roles(g, r):
     pca = classical_pca(g, r)
-    roles = identify_privileged(g, pca.u)
+    roles = identify_privileged(g, pca.u, prepare(g, r).moments)
     c_x = scaled_gram(g.x, g.n)
     delta = scaled_gram(roles.x_harmed, roles.n_harmed) - scaled_gram(
         roles.x_privileged, roles.n_privileged

@@ -299,3 +299,70 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_eigensolver_failure(self, s1_csv, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--method", "ufpca", "--rank", "1") == 3
+        assert "eigendecomposition failed" in capsys.readouterr().err
+
+
+class TestSharedWork:
+    @pytest.fixture()
+    def wide_csv(self, toy_csv):
+        rng = np.random.default_rng(31)
+        feats = np.vstack([
+            rng.standard_normal((40, 5)) * np.linspace(1.0, 3.0, 5),
+            rng.standard_normal((20, 5)) * np.linspace(3.0, 1.0, 5),
+        ])
+        return toy_csv(feats, ["a"] * 40 + ["b"] * 20, name="wide.csv")
+
+    def test_fit_runs_plain_pca_once(self, wide_csv, monkeypatch, capsys):
+        import fairdim.fairpca as fairpca_module
+        from fairdim.dataset import load_grouped
+        from fairdim.metrics import avg_reconstruction_error_direct
+
+        calls = []
+        real = fairpca_module.classical_pca
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classical_pca", counting)
+        monkeypatch.setattr(fairpca_module, "classical_pca", counting)
+        assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
+                       "--method", "ufpca", "--rank", "2") == 0
+        record = json.loads(capsys.readouterr().out)
+        assert calls == [2]
+
+        # roles are those of plain PCA at the same rank, by explicit residual
+        g = load_grouped(wide_csv, "group")
+        u = np.linalg.eigh(g.x.T @ g.x)[1][:, ::-1][:, :2]
+        err_a = avg_reconstruction_error_direct(g.x_a, u)
+        err_b = avg_reconstruction_error_direct(g.x_b, u)
+        assert err_a != pytest.approx(err_b)
+        expected = (g.label_a, g.label_b) if err_a < err_b else (g.label_b, g.label_a)
+        assert (record["privileged"], record["harmed"]) == expected
+
+    def test_sweep_grams_independent_of_rank(self, wide_csv, monkeypatch, capsys):
+        import fairdim.fairpca as fairpca_module
+
+        real = fairpca_module.scaled_gram
+        counts = []
+        for max_rank in ("1", "3"):
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(fairpca_module, "scaled_gram", counting)
+            assert run_cli("sweep", "--input", str(wide_csv), "--sensitive-col", "group",
+                           "--max-rank", max_rank) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0

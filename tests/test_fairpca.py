@@ -12,6 +12,7 @@ from fairdim.fairpca import (
     classical_pca,
     fair_projection,
     golden_section,
+    prepare,
     u_fpca,
     weighted_covariance,
 )
@@ -229,7 +230,9 @@ class TestUFpca:
         from fairdim.metrics import group_metrics
 
         fit = u_fpca(s1_grouped, 1)
-        roles = identify_privileged(s1_grouped, classical_pca(s1_grouped, 1).u)
+        roles = identify_privileged(
+            s1_grouped, classical_pca(s1_grouped, 1).u, prepare(s1_grouped, 1).moments
+        )
         again = group_metrics(
             s1_grouped.x,
             roles.x_privileged,

@@ -4,46 +4,11 @@ import pytest
 from fairdim.linalg import (
     EigenPairs,
     LinalgError,
-    frobenius_norm_sq,
-    matmul,
     scaled_gram,
     sym_eig_top_r,
 )
 
 from conftest import eig2x2_values, rand_symmetric
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_orthogonal_vectors(self):
-        out = matmul([[1.0, 0.0]], [[0.0], [1.0]])
-        assert np.array_equal(out, [[0.0]])
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(LinalgError):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_rejects_nan(self):
-        with pytest.raises(LinalgError):
-            matmul([[np.nan]], [[1.0]])
-
-
-class TestFrobeniusNormSq:
-    def test_zero(self):
-        assert frobenius_norm_sq(np.zeros((3, 3))) == 0.0
-
-    def test_hand_value(self):
-        assert frobenius_norm_sq([[3.0, 4.0]]) == 25.0
-
-    def test_identity(self):
-        assert frobenius_norm_sq(np.eye(4)) == 4.0
 
 
 class TestScaledGram:

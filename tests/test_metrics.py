@@ -9,8 +9,9 @@ from fairdim.metrics import (
     fairness_measure,
     group_metrics,
     identify_privileged,
+    moment_metrics,
 )
-from fairdim.fairpca import classical_pca
+from fairdim.fairpca import classical_pca, prepare
 
 from conftest import make_table, rand_orthonormal, random_grouped
 from fairdim.dataset import center_and_split
@@ -103,7 +104,7 @@ class TestIdentifyPrivileged:
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
         )
         u = np.array([[1.0], [0.0]])  # keeps group a perfectly
-        roles = identify_privileged(g, u)
+        roles = identify_privileged(g, u, prepare(g, 1).moments)
         assert roles.label_privileged == "a"
         assert roles.label_harmed == "b"
         assert roles.budget == pytest.approx(4.0)  # harmed rows (0,±2) lost entirely
@@ -113,7 +114,7 @@ class TestIdentifyPrivileged:
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
         )
         u = np.array([[0.0], [1.0]])
-        roles = identify_privileged(g, u)
+        roles = identify_privileged(g, u, prepare(g, 1).moments)
         assert roles.label_privileged == "b"
         assert roles.budget == pytest.approx(1.0)
 
@@ -122,7 +123,7 @@ class TestIdentifyPrivileged:
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], list("aabb"))
         )
         u = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)]])  # symmetric: both err 0.5
-        roles = identify_privileged(g, u)
+        roles = identify_privileged(g, u, prepare(g, 1).moments)
         assert roles.label_privileged == "a"
 
 
@@ -156,3 +157,42 @@ class TestMetricProperties:
             mix = (g.n_a * m.err_a + g.n_b * m.err_b) / g.n
             assert m.overall_err == pytest.approx(mix, rel=1e-9)
             assert m.fairness == pytest.approx(m.disparity**2, rel=1e-12)
+
+
+def _hostile_grouped(case: str):
+    rng = np.random.default_rng(17)
+    if case == "wide":  # d > n
+        n_a, n_b, d = 9, 6, 20
+    elif case == "imbalanced":  # LSAC-like 14:1
+        n_a, n_b, d = 280, 20, 6
+    else:
+        n_a, n_b, d = 40, 25, 6
+    g = random_grouped(rng, n_a, n_b, d)
+    feats = np.vstack([g.x_a, g.x_b])
+    if case == "constant_column":
+        feats[:, 2] = 5.0
+    elif case == "duplicated_column":
+        feats[:, 4] = feats[:, 1]
+    return center_and_split(make_table(feats, ["a"] * n_a + ["b"] * n_b))
+
+
+class TestMomentMetrics:
+    @pytest.mark.parametrize(
+        "case", ["wide", "constant_column", "duplicated_column", "imbalanced"]
+    )
+    def test_matches_explicit_residual(self, case):
+        g = _hostile_grouped(case)
+        d = g.x.shape[1]
+        moments = prepare(g, 1).moments
+        rng = np.random.default_rng(18)
+        for r in (1, 2, 3):
+            for u in (rand_orthonormal(rng, d, r), classical_pca(g, r).u):
+                m = moment_metrics(moments, u)
+                want = (
+                    avg_reconstruction_error_direct(g.x, u),
+                    avg_reconstruction_error_direct(g.x_a, u),
+                    avg_reconstruction_error_direct(g.x_b, u),
+                )
+                got = (m.overall_err, m.err_a, m.err_b)
+                for have, ref in zip(got, want):
+                    assert have == pytest.approx(ref, rel=1e-9)
