@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-from time import perf_counter
 
 from .dataset import DataError, load_grouped, write_table
-from .fairpca import SearchConfig, c_fpca, classical_pca, u_fpca
+from .fairpca import SearchConfig
 from .linalg import LinalgError
-from .metrics import identify_privileged  # noqa: F401  (a perfbench trace target)
 from .report import (
     METHODS,
+    fit_one,
     fit_record,
     read_report_jsonl,
     run_sweep,
@@ -33,8 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-THREADS_ENV = "FAIRDIM_THREADS"
 
 
 class _UsageError(Exception):
@@ -98,19 +94,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"{THREADS_ENV} must be at least 1, got {value}")
-    return value
-
-
 def _cmd_gen(args) -> int:
     write_table(s1_table(args.seed), args.out)
     return EXIT_OK
@@ -120,18 +103,10 @@ def _cmd_fit(args) -> int:
     g = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     if args.rank > g.x.shape[1]:
         raise _UsageError(f"--rank {args.rank} exceeds feature count {g.x.shape[1]}")
-    config = SearchConfig(tol=args.tol)
-    start = perf_counter()
-    if args.method == "pca":
-        fit = classical_pca(g, args.rank)
-    elif args.method == "ufpca":
-        fit = u_fpca(g, args.rank, config)
-    else:
-        fit = c_fpca(g, args.rank, config)
-    elapsed_ms = int(round((perf_counter() - start) * 1000.0))
+    fit, runtime_ms = fit_one(g, args.rank, args.method, SearchConfig(tol=args.tol))
     print(
         f"fit dataset={args.input.stem} method={args.method} r={args.rank} "
-        f"runtime_ms={elapsed_ms}",
+        f"runtime_ms={runtime_ms}",
         file=sys.stderr,
     )
 
@@ -155,7 +130,6 @@ def _cmd_sweep(args) -> int:
         SearchConfig(tol=args.tol),
         dataset_id=args.input.stem,
         balanced=args.balanced,
-        threads=_thread_cap(),
     )
     for row in report.rows:
         print(

@@ -124,6 +124,11 @@ def load_table(path, sensitive_column: str) -> RawTable:
             raise DataError(
                 f"{path}: sensitive column {sensitive_column!r} not in header"
             ) from None
+        if header.count(sensitive_column) > 1:
+            raise DataError(
+                f"{path}: ambiguous header, sensitive column {sensitive_column!r} "
+                "appears more than once"
+            )
         feature_names = tuple(h for i, h in enumerate(header) if i != sens_idx)
         if not feature_names:
             raise DataError(f"{path}: no feature columns besides {sensitive_column!r}")

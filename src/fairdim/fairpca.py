@@ -32,7 +32,6 @@ from .linalg import LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import (
     GroupMetrics,
     Moments,
-    group_metrics,  # noqa: F401  (unused; a perfbench trace target)
     identify_privileged,
     moment_metrics,
 )
@@ -68,7 +67,6 @@ class SearchConfig:
 
     tol: float = 1e-6
     max_iterations: int = 100
-    golden_ratio: float = GOLDEN_RATIO
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -127,9 +125,9 @@ class Prepared:
     """A dataset's second moments and its top plain-PCA eigenvectors.
 
     Built once by ``prepare`` and only read afterwards, so the cells of a
-    sweep can share it across threads. Column j of ``pca_vectors`` is the
-    (j+1)-th principal direction; the rank-r plain-PCA basis is the first
-    r columns, exactly as a rank-r eigensolve of ``moments.c`` returns it.
+    sweep can share it. Column j of ``pca_vectors`` is the (j+1)-th
+    principal direction; the rank-r plain-PCA basis is the first r
+    columns, exactly as a rank-r eigensolve of ``moments.c`` returns it.
     """
 
     g: GroupedData
@@ -232,7 +230,7 @@ def golden_section(
     Returns the final bracket midpoint and the iteration count.
     """
     cfg = config or SearchConfig()
-    inv_ratio = 1.0 / cfg.golden_ratio
+    inv_ratio = 1.0 / GOLDEN_RATIO
     lo, hi = 0.0, 1.0
     iterations = 0
 

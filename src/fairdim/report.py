@@ -10,8 +10,8 @@ input are byte-identical; they go to the timing log instead.
 
 from __future__ import annotations
 
+import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -31,6 +31,7 @@ __all__ = [
     "METHODS",
     "SweepRow",
     "SweepReport",
+    "fit_one",
     "run_sweep",
     "fit_record",
     "write_report_jsonl",
@@ -73,28 +74,39 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _fit_one(p: Prepared, r: int, method: str, config: SearchConfig) -> SweepRow:
+def fit_one(
+    data: GroupedData | Prepared, r: int, method: str, config: SearchConfig
+) -> tuple[FairFitResult, int]:
+    """Fit one method at one rank; return the fit and its wall time in ms.
+
+    This is the only dispatch from a method name to its fit, shared by a
+    single fit and by every cell of a sweep. ``data`` is the dataset, or
+    its ``Prepared`` form to reuse.
+    """
     start = perf_counter()
     if method == "pca":
-        fit = classical_pca(p, r)
+        fit = classical_pca(data, r)
     elif method == "ufpca":
-        fit = u_fpca(p, r, config)
+        fit = u_fpca(data, r, config)
     elif method == "cfpca":
-        fit = c_fpca(p, r, config)
+        fit = c_fpca(data, r, config)
     else:
         raise ValueError(f"unknown method {method!r}")
-    elapsed_ms = int(round((perf_counter() - start) * 1000.0))
+    return fit, int(round((perf_counter() - start) * 1000.0))
+
+
+def _sweep_row(fit: FairFitResult, runtime_ms: int) -> SweepRow:
     m = fit.metrics
     return SweepRow(
-        r=r,
-        method=method,
+        r=int(fit.u.shape[1]),
+        method=fit.method,
         alpha=float(fit.alpha),
         overall_err=m.overall_err,
         err_a=m.err_a,
         err_b=m.err_b,
         disparity=m.disparity,
         fairness=m.fairness,
-        runtime_ms=elapsed_ms,
+        runtime_ms=runtime_ms,
     )
 
 
@@ -104,23 +116,19 @@ def run_sweep(
     config: SearchConfig,
     dataset_id: str,
     balanced: bool,
-    threads: int = 1,
 ) -> SweepReport:
-    """Fit all methods for every rank 1..max_rank.
+    """Fit all methods for every rank 1..max_rank, in (rank, method) order.
 
     The second moments and the one plain-PCA eigendecomposition serving
-    every rank are computed once, before any cell starts. Cells only read
-    them and are otherwise independent pure computations, so with
-    ``threads > 1`` they run on a thread pool; rows are always assembled
-    in (rank, method) order regardless of completion order.
+    every rank are computed once, before the first cell, and every cell
+    reuses them.
     """
     p = prepare(g, max_rank)
-    cells = [(r, method) for r in range(1, max_rank + 1) for method in METHODS]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _fit_one(p, c[0], c[1], config), cells))
-    else:
-        rows = [_fit_one(p, r, method, config) for r, method in cells]
+    rows = [
+        _sweep_row(*fit_one(p, r, method, config))
+        for r in range(1, max_rank + 1)
+        for method in METHODS
+    ]
     return SweepReport(dataset_id=dataset_id, balanced=balanced, rows=tuple(rows))
 
 
@@ -172,11 +180,13 @@ def write_report_jsonl(report: SweepReport, fh) -> None:
 
 
 def write_report_csv(report: SweepReport, fh) -> None:
-    fh.write("dataset_id,balanced," + ",".join(_ROW_FIELDS) + "\n")
+    """CSV table of the report; a field is quoted only when it has to be."""
+    columns = ("dataset_id", "balanced", *_ROW_FIELDS)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
     for row in report.rows:
         rec = _row_record(report, row)
-        fh.write(",".join(str(rec[k]) for k in ("dataset_id", "balanced", *_ROW_FIELDS)))
-        fh.write("\n")
+        writer.writerow(rec[k] for k in columns)
 
 
 def read_report_jsonl(path) -> SweepReport:

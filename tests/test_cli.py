@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from fairdim import cli
+from fairdim import cli, report
 from fairdim.dataset import balance, center_and_split, load_table
 from fairdim.fairpca import SearchConfig
 from fairdim.linalg import LinalgError
@@ -149,6 +150,23 @@ class TestSweep:
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
 
+    def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
+        rng = np.random.default_rng(23)
+        path = toy_csv(rng.standard_normal((9, 2)), ["a"] * 6 + ["b"] * 3,
+                       name='tc,re"d.csv')
+        out = tmp_path / "report.jsonl"
+        assert run_cli(
+            "sweep", "--input", str(path), "--sensitive-col", "group",
+            "--max-rank", "1", "--output", str(out),
+        ) == 0
+        with (tmp_path / "report.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:2] == ["dataset_id", "balanced"] and len(header) == 10
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 10
+            assert row[0] == 'tc,re"d'
+
     def test_balanced_sweep_uses_truncated_groups(self, toy_csv, capsys):
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((8, 3))
@@ -162,7 +180,7 @@ class TestSweep:
         # reference: library pipeline on the balanced 3+3 table
         g = center_and_split(balance(load_table(path, "group")))
         assert (g.n_a, g.n_b) == (3, 3)
-        expected = run_sweep(g, 2, SearchConfig(), "toy", True, threads=1)
+        expected = run_sweep(g, 2, SearchConfig(), "toy", True)
         for rec, row in zip(rows, expected.rows):
             assert rec["balanced"] is True
             assert rec["overall_err"] == row.overall_err
@@ -180,20 +198,6 @@ class TestDeterminism:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
-
-    def test_threaded_sweep_matches_serial(self, s1_csv, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.jsonl"
-        threaded = tmp_path / "threaded.jsonl"
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "2", "--output", str(serial),
-        ) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "2", "--output", str(threaded),
-        ) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 class TestPlotdata:
@@ -275,11 +279,6 @@ class TestExitCodes:
                        "--method", "pca", "--rank", "5") == 1
         assert "exceeds feature count" in capsys.readouterr().err
 
-    def test_bad_thread_env(self, s1_csv, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                       "--max-rank", "1") == 1
-
     def test_data_errors(self, tmp_path, s1_csv):
         missing = tmp_path / "missing.csv"
         assert run_cli("fit", "--input", str(missing), "--sensitive-col", "group",
@@ -295,7 +294,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise LinalgError("synthetic numeric failure")
 
-        monkeypatch.setattr(cli, "classical_pca", boom)
+        monkeypatch.setattr(report, "classical_pca", boom)
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 3
         assert "numeric error" in capsys.readouterr().err
@@ -332,7 +331,7 @@ class TestSharedWork:
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "classical_pca", counting)
+        monkeypatch.setattr(report, "classical_pca", counting)
         monkeypatch.setattr(fairpca_module, "classical_pca", counting)
         assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
                        "--method", "ufpca", "--rank", "2") == 0
@@ -366,3 +365,22 @@ class TestSharedWork:
             counts.append(len(calls))
         capsys.readouterr()
         assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("method", ["pca", "ufpca", "cfpca"])
+def test_fit_matches_sweep_cell(method, toy_csv, capsys):
+    rng = np.random.default_rng(32)
+    feats = np.vstack([
+        rng.standard_normal((30, 4)) * np.linspace(1.0, 3.0, 4),
+        rng.standard_normal((15, 4)) * np.linspace(3.0, 1.0, 4),
+    ])
+    path = toy_csv(feats, ["a"] * 30 + ["b"] * 15)
+    assert run_cli("fit", "--input", str(path), "--sensitive-col", "group",
+                   "--method", method, "--rank", "2") == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert run_cli("sweep", "--input", str(path), "--sensitive-col", "group",
+                   "--max-rank", "3") == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (cell,) = [row for row in rows if row["r"] == 2 and row["method"] == method]
+    for key in ("alpha", "overall_err", "err_a", "err_b", "disparity", "fairness"):
+        assert fit[key] == cell[key], key

@@ -72,6 +72,11 @@ class TestLoadTable:
         with pytest.raises(DataError, match="empty file"):
             load_table(path, "h")
 
+    def test_duplicated_sensitive_column(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "group,x,group\na,1,a\nb,2,b\n")
+        with pytest.raises(DataError, match="ambiguous header"):
+            load_table(path, "group")
+
     def test_only_sensitive_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "h\na\nb\n")
         with pytest.raises(DataError, match="no feature columns"):

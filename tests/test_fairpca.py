@@ -40,7 +40,6 @@ class TestSearchConfig:
         cfg = SearchConfig()
         assert cfg.tol == 1e-6
         assert cfg.max_iterations == 100
-        assert cfg.golden_ratio == pytest.approx((math.sqrt(5.0) + 1.0) / 2.0, abs=0.0)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
