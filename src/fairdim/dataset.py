@@ -6,6 +6,13 @@ the sensitive group label, taken verbatim as a string; every other column
 must parse as a finite number. Rows with unparseable cells abort the load:
 silently dropping rows would shift the group counts and every metric
 computed from them.
+
+A plain file (no quotes, no carriage returns, one comma per column break
+on every data line) is parsed in one vectorized pass with numpy's C
+reader. Quoted or malformed files, and any cell that pass rejects, go
+through a per-cell reader (``csv.reader`` plus ``float()``) instead; it
+gives the same values bit for bit and raises the same errors, naming the
+line and column of the first bad cell.
 """
 
 from __future__ import annotations
@@ -104,34 +111,133 @@ def load_table(path, sensitive_column: str) -> RawTable:
     sensitive column, no feature columns, ragged rows, non-numeric or
     non-finite feature cells, and a label column without exactly two
     distinct values.
+
+    A plain file is parsed in one vectorized pass; anything else, and any
+    plain file that pass rejects, goes through the per-cell reader, which
+    alone names a bad cell. Both give the same values and the same errors.
     """
     path = Path(path)
+    table = _load_plain(path, sensitive_column)
+    if table is None:
+        table = _load_cells(path, sensitive_column)
+    return table
+
+
+def _open(path: Path):
     try:
         # utf-8-sig: plain UTF-8 plus tolerance for a spreadsheet-export BOM
-        fh = path.open(newline="", encoding="utf-8-sig")
+        return path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
 
-    with fh:
+
+def _columns(path: Path, header: list[str], sensitive_column: str):
+    """The sensitive column's index and the feature names, or a DataError."""
+    try:
+        sens_idx = header.index(sensitive_column)
+    except ValueError:
+        raise DataError(
+            f"{path}: sensitive column {sensitive_column!r} not in header"
+        ) from None
+    if header.count(sensitive_column) > 1:
+        raise DataError(
+            f"{path}: ambiguous header, sensitive column {sensitive_column!r} "
+            "appears more than once"
+        )
+    feature_names = tuple(h for i, h in enumerate(header) if i != sens_idx)
+    if not feature_names:
+        raise DataError(f"{path}: no feature columns besides {sensitive_column!r}")
+    return sens_idx, feature_names
+
+
+def _table(
+    path: Path,
+    sensitive_column: str,
+    features: np.ndarray,
+    labels: list[str],
+    feature_names: tuple[str, ...],
+) -> RawTable:
+    distinct = set(labels)
+    if len(distinct) != 2:
+        raise DataError(
+            f"{path}: sensitive column {sensitive_column!r} has {len(distinct)} "
+            f"distinct values, expected exactly 2"
+        )
+    return RawTable(
+        features=features,
+        labels=tuple(labels),
+        feature_names=feature_names,
+        sensitive_name=sensitive_column,
+    )
+
+
+# A file holding any of these is not plain. Quotes and carriage returns
+# change how csv.reader splits it, csv.reader rejects NUL on Python 3.10,
+# and U+001C..U+001F count as whitespace around a number for numpy's
+# parser but not for float().
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _load_plain(path: Path, sensitive_column: str) -> RawTable | None:
+    """The vectorized path, or None when the file needs the per-cell reader.
+
+    Without quotes or carriage returns, csv.reader's records are exactly
+    the file's lines split on commas. Data lines with one comma per column
+    break rule out ragged and blank rows, and numpy's C reader parses
+    numbers with the same routine as float(), minus the digit separators
+    (``1_0``) it rejects, so the per-cell reader then decides.
+    """
+    with _open(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None  # let the per-cell reader fail at the same record
+    if any(ch in text for ch in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    # a blank header line is an empty record to csv.reader, not [""]; a
+    # field longer than csv's limit is an error there, not a value
+    if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines.pop(0).split(",")
+    sens_idx, feature_names = _columns(path, header, sensitive_column)
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in lines):
+        return None
+    try:
+        features = np.loadtxt(
+            lines,
+            delimiter=",",
+            usecols=[i for i in range(len(header)) if i != sens_idx],
+            comments=None,
+            quotechar=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(features).all():
+        return None
+    # split only up to the label, from whichever end is nearer
+    if sens_idx <= commas - sens_idx:
+        labels = [line.split(",", sens_idx + 1)[sens_idx] for line in lines]
+    else:
+        labels = [line.rsplit(",", commas - sens_idx + 1)[1] for line in lines]
+    return _table(path, sensitive_column, features, labels, feature_names)
+
+
+def _load_cells(path: Path, sensitive_column: str) -> RawTable:
+    """The per-cell reader: csv.reader plus float(), naming the first bad cell."""
+    with _open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        try:
-            sens_idx = header.index(sensitive_column)
-        except ValueError:
-            raise DataError(
-                f"{path}: sensitive column {sensitive_column!r} not in header"
-            ) from None
-        if header.count(sensitive_column) > 1:
-            raise DataError(
-                f"{path}: ambiguous header, sensitive column {sensitive_column!r} "
-                "appears more than once"
-            )
-        feature_names = tuple(h for i, h in enumerate(header) if i != sens_idx)
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns besides {sensitive_column!r}")
+        sens_idx, feature_names = _columns(path, header, sensitive_column)
 
         rows: list[list[float]] = []
         labels: list[str] = []
@@ -158,19 +264,8 @@ def load_table(path, sensitive_column: str) -> RawTable:
                 parsed.append(value)
             rows.append(parsed)
 
-    distinct = set(labels)
-    if len(distinct) != 2:
-        raise DataError(
-            f"{path}: sensitive column {sensitive_column!r} has {len(distinct)} "
-            f"distinct values, expected exactly 2"
-        )
     features = np.array(rows, dtype=np.float64)
-    return RawTable(
-        features=features,
-        labels=tuple(labels),
-        feature_names=feature_names,
-        sensitive_name=sensitive_column,
-    )
+    return _table(path, sensitive_column, features, labels, feature_names)
 
 
 def write_table(table: RawTable, path) -> None:

@@ -280,13 +280,14 @@ class _AlphaEvaluator:
 
 
 def _prepare_search(data: GroupedData | Prepared, r: int):
+    # plain PCA has already assigned the roles: reorder the moments
+    # privileged-first to match, and its harmed error is the budget
     p = _prepared(data, r)
     pca = classical_pca(p, r)
-    roles = identify_privileged(p.g, pca.u, p.moments)
-    m = roles.moments
+    m = p.moments if pca.privileged == p.g.label_a else p.moments.swapped()
     evaluator = _AlphaEvaluator(moments=m, delta=m.c_b - m.c_a, r=r)
     evaluator.seed(1.0, pca.u)
-    return pca, roles, evaluator
+    return pca, evaluator
 
 
 def u_fpca(
@@ -298,7 +299,7 @@ def u_fpca(
     golden-sections the squared disparity over alpha and refits at the
     final bracket midpoint.
     """
-    _, roles, evaluate = _prepare_search(data, r)
+    pca, evaluate = _prepare_search(data, r)
     result = golden_section(lambda a: evaluate(a)[1].fairness, None, config)
     u, m = evaluate(result.alpha)
     return FairFitResult(
@@ -307,8 +308,8 @@ def u_fpca(
         u=u,
         metrics=m,
         iterations=result.iterations,
-        privileged=roles.label_privileged,
-        harmed=roles.label_harmed,
+        privileged=pca.privileged,
+        harmed=pca.harmed,
     )
 
 
@@ -323,8 +324,8 @@ def c_fpca(
     falls back to the best feasible alpha among those evaluated; alpha = 1
     reproduces plain PCA exactly and is always feasible.
     """
-    pca, roles, evaluate = _prepare_search(data, r)
-    budget = roles.budget
+    pca, evaluate = _prepare_search(data, r)
+    budget = pca.metrics.err_b
 
     def feasible(alpha: float) -> bool:
         m = evaluate(alpha)[1]
@@ -352,6 +353,6 @@ def c_fpca(
         metrics=m,
         iterations=result.iterations,
         budget=budget,
-        privileged=roles.label_privileged,
-        harmed=roles.label_harmed,
+        privileged=pca.privileged,
+        harmed=pca.harmed,
     )

@@ -1,6 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fairdim.dataset as dataset_module
 from fairdim.dataset import (
     DataError,
     balance,
@@ -77,6 +82,18 @@ class TestLoadTable:
         with pytest.raises(DataError, match="ambiguous header"):
             load_table(path, "group")
 
+    def test_blank_header_line(self, tmp_path):
+        # csv.reader reads a blank line as no fields at all, not one empty one
+        path = write_csv(tmp_path / "t.csv", "\na,1\nb,2\n")
+        with pytest.raises(DataError, match="sensitive column '' not in header"):
+            load_table(path, "")
+
+    def test_field_over_csv_limit(self, tmp_path):
+        padded = " " * csv.field_size_limit() + "1"
+        path = write_csv(tmp_path / "t.csv", f"h,x\na,{padded}\nb,2\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_table(path, "h")
+
     def test_only_sensitive_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "h\na\nb\n")
         with pytest.raises(DataError, match="no feature columns"):
@@ -94,6 +111,143 @@ class TestLoadTable:
         back = load_table(path, "group")
         assert np.array_equal(back.features, table.features)
         assert back.labels == table.labels
+
+
+# One row per input shape: the file text, then either the features and
+# labels it loads to or the exact DataError message ("{path}" stands for
+# the file), and which reader produced it. The plain reader must agree
+# with the per-cell one everywhere, so every expected outcome is the
+# per-cell reader's.
+PARITY_CASES = {
+    "quoted_label_comma": ('h,x,y\n"a,1",1,2\nb,3,4\n',
+                           [[1.0, 2.0], [3.0, 4.0]], ("a,1", "b"), "cells"),
+    "crlf": ("h,x\r\na,1\r\nb,2\r\n", [[1.0], [2.0]], ("a", "b"), "cells"),
+    "utf8_bom": ("\ufeffh,x\na,1\nb,2\n", [[1.0], [2.0]], ("a", "b"), "plain"),
+    "blank_line_mid": ("h,x\na,1\n\nb,2\n",
+                       "{path}:3: expected 2 fields, got 0", None, "cells"),
+    "trailing_blank_line": ("h,x\na,1\nb,2\n\n",
+                            "{path}:4: expected 2 fields, got 0", None, "cells"),
+    "no_final_newline": ("h,x\na,1\nb,2", [[1.0], [2.0]], ("a", "b"), "plain"),
+    "too_short_row": ("h,x,y\na,1,2\nb,3\n",
+                      "{path}:3: expected 3 fields, got 2", None, "cells"),
+    "too_long_row": ("h,x\na,1\nb,2,3\n",
+                     "{path}:3: expected 2 fields, got 3", None, "cells"),
+    "nan": ("h,x\na,1\nb,nan\n",
+            "{path}:3: non-finite cell 'nan' in column 'x'", None, "cells"),
+    "overflow": ("h,x\na,1\nb,1e400\n",
+                 "{path}:3: non-finite cell '1e400' in column 'x'", None, "cells"),
+    "empty_cell": ("h,x,y\na,1,2\nb,,4\n",
+                   "{path}:3: non-numeric cell '' in column 'x'", None, "cells"),
+    "digit_separator": ("h,x\na,1_0\nb,2\n", [[10.0], [2.0]], ("a", "b"), "cells"),
+    "padded_cell": ("h,x\na, 1 \nb,2\n", [[1.0], [2.0]], ("a", "b"), "plain"),
+    "header_only": ("h,x\n",
+                    "{path}: sensitive column 'h' has 0 distinct values, expected exactly 2",
+                    None, "cells"),
+    "sensitive_first": ("h,x,y\na,1.5,-2\nb,3,4e-3\n",
+                        [[1.5, -2.0], [3.0, 0.004]], ("a", "b"), "plain"),
+    "sensitive_middle": ("x,h,y\n1.5,a,-2\n3,b,4e-3\n",
+                         [[1.5, -2.0], [3.0, 0.004]], ("a", "b"), "plain"),
+    "sensitive_last": ("x,y,h\n1.5,-2,a\n3,4e-3,b\n",
+                       [[1.5, -2.0], [3.0, 0.004]], ("a", "b"), "plain"),
+    # whitespace to numpy's number parser, not to float()
+    "unit_separator": ("h,x\na,1\nb,\x1f2\n",
+                       "{path}:3: non-numeric cell '\\x1f2' in column 'x'", None, "cells"),
+    "hash_in_label": ("h,x\n#a,1\nb,2\n", [[1.0], [2.0]], ("#a", "b"), "plain"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_loader_parity(case, tmp_path, monkeypatch):
+    text, expected, labels, reader = PARITY_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    per_cell = []
+    real = dataset_module._load_cells
+    monkeypatch.setattr(
+        dataset_module, "_load_cells", lambda *a: per_cell.append(1) or real(*a)
+    )
+    if labels is None:
+        with pytest.raises(DataError) as exc:
+            load_table(path, "h")
+        assert str(exc.value) == expected.format(path=path)
+    else:
+        table = load_table(path, "h")
+        want = np.array(expected, dtype=np.float64)
+        assert table.features.dtype == np.float64
+        assert table.features.shape == want.shape
+        assert table.features.tobytes() == want.tobytes()
+        assert table.labels == labels
+        assert table.feature_names == ("x", "y")[: want.shape[1]]
+    assert per_cell == ([1] if reader == "cells" else [])
+
+
+_label = st.text(
+    st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)),
+    max_size=4,
+)
+
+
+@st.composite
+def _plain_tables(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    groups = draw(st.lists(_label, min_size=2, max_size=2, unique=True))
+    labels = groups + draw(st.lists(st.sampled_from(groups), min_size=n, max_size=n))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    fmt = st.sampled_from([repr, lambda v: "%.6g" % v])
+    cells = [[draw(fmt)(draw(value)) for _ in range(d)] for _ in labels]
+    return draw(st.integers(0, d)), cells, labels
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_plain_tables())
+def test_load_table_matches_float_per_cell(tmp_path, table):
+    sens, cells, labels = table
+    d = len(cells[0])
+    header = [f"x{j}" for j in range(d)]
+    header.insert(sens, "g")
+    lines = [",".join(header)]
+    for row, label in zip(cells, labels):
+        lines.append(",".join(row[:sens] + [label] + row[sens:]))
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+    out = load_table(path, "g")
+    want = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
+    assert out.features.tobytes() == want.tobytes()
+    assert out.features.shape == want.shape
+    assert out.labels == tuple(labels)
+
+
+def _outcome(load, path):
+    try:
+        t = load(path, "h")
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return t.features.shape, t.features.tobytes(), t.labels, t.feature_names
+
+
+_cell = st.sampled_from(
+    ["1", "-2.5e-3", " 7 ", "1_0", "", "nan", "1e400", "\x1c1", '"3"', '"a,b"',
+     "a", "b", "#b", "\ufeff1"]
+)
+_row = st.lists(_cell, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["h,x,y", "x,h", "h,x", "h", ""]),
+    st.lists(_row, max_size=5),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_load_table_matches_per_cell_reader(tmp_path, head, rows, newline, final):
+    path = tmp_path / "m.csv"
+    text = newline.join([head] + rows) + (newline if final else "")
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(load_table, path) == _outcome(dataset_module._load_cells, path)
 
 
 class TestBalance:

@@ -308,6 +308,35 @@ class TestCFpca:
         assert calls["n"] == fit.iterations + 4
 
 
+class TestRoleAssignment:
+    @pytest.mark.parametrize("fit_fn", [u_fpca, c_fpca], ids=["ufpca", "cfpca"])
+    @pytest.mark.parametrize("first_seen", ["a", "b"])
+    def test_roles_assigned_once_per_fit(self, fit_fn, first_seen, monkeypatch):
+        import fairdim.fairpca as fairpca_module
+
+        g = random_grouped(np.random.default_rng(41), 40, 25, 5)
+        if first_seen == "b":
+            g = grouped_from(np.vstack([g.x_b, g.x_a]), ["b"] * 25 + ["a"] * 40)
+        real = fairpca_module.identify_privileged
+        calls = []
+        monkeypatch.setattr(
+            fairpca_module,
+            "identify_privileged",
+            lambda *args: calls.append(1) or real(*args),
+        )
+        fit = fit_fn(g, 2)
+        assert len(calls) == 1
+
+        # the same roles, budget and metric order as a fresh assignment
+        p = prepare(g, 2)
+        roles = real(g, p.pca_vectors, p.moments)
+        assert (fit.privileged, fit.harmed) == (roles.label_privileged, roles.label_harmed)
+        if fit_fn is c_fpca:
+            assert fit.budget == roles.budget
+        again = fairpca_module.moment_metrics(roles.moments, fit.u)
+        assert again == fit.metrics
+
+
 class TestFairFitResultValidation:
     def test_constrained_requires_budget(self):
         u = np.array([[1.0], [0.0]])
