@@ -7,11 +7,7 @@ from .metrics import (
     GroupMetrics,
     Moments,
     PrivilegeAssignment,
-    avg_reconstruction_error,
     avg_reconstruction_error_direct,
-    disparity,
-    fairness_measure,
-    group_metrics,
     identify_privileged,
     moment_metrics,
 )
@@ -22,7 +18,6 @@ from .fairpca import (
     SearchConfig,
     c_fpca,
     classical_pca,
-    fair_projection,
     golden_section,
     prepare,
     u_fpca,

@@ -35,7 +35,7 @@ __all__ = [
     "load_grouped",
 ]
 
-_CENTER_TOL = 1e-6  # max |column sum| per row count after centering
+_CENTER_TOL = 1e-6  # max |column sum| per row and unit of column scale
 
 
 class DataError(ValueError):
@@ -107,8 +107,9 @@ class GroupedData:
 def load_table(path, sensitive_column: str) -> RawTable:
     """Read a CSV into a RawTable, excluding the sensitive column from features.
 
-    Raises DataError for: missing file, missing/ambiguous header, absent
-    sensitive column, no feature columns, ragged rows, non-numeric or
+    Raises DataError for: missing file, text that is not UTF-8,
+    missing/ambiguous header, absent sensitive column, no feature columns,
+    ragged rows, a field over ``csv.field_size_limit()``, non-numeric or
     non-finite feature cells, and a label column without exactly two
     distinct values.
 
@@ -229,10 +230,22 @@ def _load_plain(path: Path, sensitive_column: str) -> RawTable | None:
     return _table(path, sensitive_column, features, labels, feature_names)
 
 
+def _records(path: Path, fh):
+    """csv.reader's records, with undecodable text and csv's own errors
+    (a field over ``csv.field_size_limit()``) raised as DataErrors."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _load_cells(path: Path, sensitive_column: str) -> RawTable:
     """The per-cell reader: csv.reader plus float(), naming the first bad cell."""
     with _open(path) as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -328,8 +341,10 @@ def center_and_split(table: RawTable) -> GroupedData:
         label_a=first,
         label_b=second,
     )
-    col_sums = np.abs(x.sum(axis=0))
-    if col_sums.size and col_sums.max() > _CENTER_TOL * grouped.n:
+    # round-off in the mean and the subtraction grows with the column's
+    # largest magnitude, so the bound scales with it
+    scale = np.maximum(table.features.max(axis=0), -table.features.min(axis=0))
+    if np.any(np.abs(x.sum(axis=0)) > _CENTER_TOL * grouped.n * scale):
         raise DataError("centering failed: column sums exceed tolerance")
     return grouped
 

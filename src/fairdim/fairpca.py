@@ -14,9 +14,12 @@ constrained variant additionally capping both groups' errors at the
 harmed group's plain-PCA error.
 
 Everything a fit needs from the data is its three d x d second moments
-and the plain-PCA eigenvectors. ``prepare`` computes both once; a sweep
-shares one ``Prepared`` across all of its (rank, method) cells, and a
-single fit builds its own.
+and the plain-PCA eigenvectors. ``prepare`` computes both once and keeps
+only them and the two group labels, so no step after it touches the
+n x d rows: ``weighted_covariance`` blends the moments, ``sym_eig_top_r``
+projects, and ``metrics.moment_metrics`` scores. A sweep shares one
+``Prepared`` across all of its (rank, method) cells, and a single fit
+builds its own.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "prepare",
     "classical_pca",
     "weighted_covariance",
-    "fair_projection",
     "golden_section",
     "u_fpca",
     "c_fpca",
@@ -122,7 +124,8 @@ def _check_rank(r: int, d: int) -> None:
 
 @dataclass(frozen=True)
 class Prepared:
-    """A dataset's second moments and its top plain-PCA eigenvectors.
+    """A dataset's group labels, second moments and top plain-PCA
+    eigenvectors.
 
     Built once by ``prepare`` and only read afterwards, so the cells of a
     sweep can share it. Column j of ``pca_vectors`` is the (j+1)-th
@@ -130,7 +133,7 @@ class Prepared:
     columns, exactly as a rank-r eigensolve of ``moments.c`` returns it.
     """
 
-    g: GroupedData
+    labels: tuple[str, str]  # first-seen group first
     moments: Moments         # first-seen group as ``a``
     pca_vectors: np.ndarray  # (d, max_rank)
 
@@ -139,19 +142,17 @@ class Prepared:
         return self.pca_vectors.shape[1]
 
 
-def _moments(g: GroupedData) -> Moments:
-    return Moments(
+def prepare(g: GroupedData, max_rank: int) -> Prepared:
+    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``."""
+    _check_rank(max_rank, g.x.shape[1])
+    moments = Moments(
         c=scaled_gram(g.x, g.n),
         c_a=scaled_gram(g.x_a, g.n_a),
         c_b=scaled_gram(g.x_b, g.n_b),
     )
-
-
-def prepare(g: GroupedData, max_rank: int) -> Prepared:
-    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``."""
-    _check_rank(max_rank, g.x.shape[1])
-    moments = _moments(g)
-    return Prepared(g, moments, sym_eig_top_r(moments.c, max_rank).vectors)
+    return Prepared(
+        (g.label_a, g.label_b), moments, sym_eig_top_r(moments.c, max_rank).vectors
+    )
 
 
 def _prepared(data: GroupedData | Prepared, r: int) -> Prepared:
@@ -161,17 +162,19 @@ def _prepared(data: GroupedData | Prepared, r: int) -> Prepared:
     return prepare(data, r)
 
 
-def _check_alpha(alpha: float) -> float:
+def weighted_covariance(m: Moments, alpha: float) -> np.ndarray:
+    """Blend of the overall covariance with the signed group-covariance gap.
+
+    Expects roles already assigned: ``m.c_a`` must be the privileged
+    group's moment. The harmed group's term enters positively, so small
+    alpha rewards directions that represent the harmed group well. At
+    alpha = 1 this returns ``m.c`` bit-exactly, so the fit degrades to
+    plain PCA with zero subspace difference, not merely a close one.
+    """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"trade-off weight must lie in [0, 1], got {alpha}")
-    return alpha
-
-
-def _blend(c_x: np.ndarray, delta: np.ndarray, alpha: float) -> np.ndarray:
-    # At alpha = 1 this returns c_x bit-exactly, so the fit degrades to
-    # plain PCA with zero subspace difference, not merely a close one.
-    return alpha * c_x + (1.0 - alpha) * delta
+    return alpha * m.c + (1.0 - alpha) * (m.c_b - m.c_a)
 
 
 def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
@@ -183,7 +186,7 @@ def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
     """
     p = _prepared(data, r)
     u = np.ascontiguousarray(p.pca_vectors[:, :r])
-    roles = identify_privileged(p.g, u, p.moments)
+    roles = identify_privileged(p.moments, p.labels, u)
     return FairFitResult(
         method=METHOD_PCA,
         alpha=1.0,
@@ -193,24 +196,6 @@ def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
         privileged=roles.label_privileged,
         harmed=roles.label_harmed,
     )
-
-
-def weighted_covariance(g: GroupedData, alpha: float) -> np.ndarray:
-    """Blend of the overall covariance with the signed group-covariance gap.
-
-    Expects roles already assigned: ``g.x_a`` must be the privileged group.
-    The harmed group's term enters positively, so small alpha rewards
-    directions that represent the harmed group well.
-    """
-    alpha = _check_alpha(alpha)
-    m = _moments(g)
-    return _blend(m.c, m.c_b - m.c_a, alpha)
-
-
-def fair_projection(g: GroupedData, alpha: float, r: int) -> np.ndarray:
-    """Top-r eigenvectors of the weighted covariance at one alpha."""
-    _check_rank(r, g.x.shape[1])
-    return sym_eig_top_r(weighted_covariance(g, alpha), r).vectors
 
 
 def golden_section(
@@ -260,14 +245,13 @@ class _AlphaEvaluator:
     """Memoized per-alpha evaluation: one eigendecomposition per new alpha."""
 
     moments: Moments  # privileged group as ``a``
-    delta: np.ndarray
     r: int
     cache: dict = field(default_factory=dict)
 
     def __call__(self, alpha: float):
         hit = self.cache.get(alpha)
         if hit is None:
-            u = sym_eig_top_r(_blend(self.moments.c, self.delta, alpha), self.r).vectors
+            u = sym_eig_top_r(weighted_covariance(self.moments, alpha), self.r).vectors
             hit = self._record(alpha, u)
         return hit
 
@@ -284,8 +268,8 @@ def _prepare_search(data: GroupedData | Prepared, r: int):
     # privileged-first to match, and its harmed error is the budget
     p = _prepared(data, r)
     pca = classical_pca(p, r)
-    m = p.moments if pca.privileged == p.g.label_a else p.moments.swapped()
-    evaluator = _AlphaEvaluator(moments=m, delta=m.c_b - m.c_a, r=r)
+    m = p.moments if pca.privileged == p.labels[0] else p.moments.swapped()
+    evaluator = _AlphaEvaluator(moments=m, r=r)
     evaluator.seed(1.0, pca.u)
     return pca, evaluator
 

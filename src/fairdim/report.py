@@ -196,6 +196,8 @@ def read_report_jsonl(path) -> SweepReport:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     dataset_id = ""
     balanced = False

@@ -290,6 +290,26 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 2
 
+    def test_undecodable_input(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"group,x\na,1\nb\xe9,2\n")
+        assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
+                       "--method", "pca", "--rank", "1") == 2
+        assert "data error: " + str(bad) + ": not UTF-8 text" in capsys.readouterr().err
+        report = tmp_path / "latin1.jsonl"
+        report.write_bytes(b'{"dataset_id":"\xe9"}\n')
+        assert run_cli("plotdata", "--report", str(report),
+                       "--out-dir", str(tmp_path / "plots")) == 2
+        assert "data error: " + str(report) + ": not UTF-8 text" in capsys.readouterr().err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("group,x\na," + " " * csv.field_size_limit() + "1\nb,2\n",
+                       encoding="utf-8")
+        assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
+                       "--method", "pca", "--rank", "1") == 2
+        assert "long.csv:2: field larger than field limit" in capsys.readouterr().err
+
     def test_numeric_failure(self, s1_csv, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise LinalgError("synthetic numeric failure")

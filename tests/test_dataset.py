@@ -91,7 +91,7 @@ class TestLoadTable:
     def test_field_over_csv_limit(self, tmp_path):
         padded = " " * csv.field_size_limit() + "1"
         path = write_csv(tmp_path / "t.csv", f"h,x\na,{padded}\nb,2\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(DataError, match="t.csv:2: field larger than field limit"):
             load_table(path, "h")
 
     def test_only_sensitive_column(self, tmp_path):
@@ -312,6 +312,17 @@ class TestCenterAndSplit:
         feats = rng.standard_normal((50, 6)) * 100.0 + 17.0
         g = center_and_split(make_table(feats, ["a"] * 30 + ["b"] * 20))
         assert np.max(np.abs(g.x.sum(axis=0))) <= 1e-6 * g.n
+
+    @pytest.mark.parametrize("offset", [1e9, 1e12])
+    def test_large_magnitude_column(self, offset):
+        # the round-off left after centering grows with the column's scale
+        rng = np.random.default_rng(10)
+        feats = np.column_stack([
+            offset * (1.0 + 0.01 * rng.standard_normal(30000)),
+            rng.standard_normal(30000),
+        ])
+        g = center_and_split(make_table(feats, ["a"] * 20000 + ["b"] * 10000))
+        assert np.array_equal(g.x, feats - feats.mean(axis=0))
 
     def test_single_group_rejected(self):
         with pytest.raises(DataError, match="2 groups"):

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from fairdim.dataset import GroupedData, center_and_split
+from fairdim.dataset import center_and_split
 from fairdim.fairpca import (
     GOLDEN_RATIO,
     FairFitResult,
     SearchConfig,
     c_fpca,
     classical_pca,
-    fair_projection,
     golden_section,
     prepare,
     u_fpca,
     weighted_covariance,
 )
-from fairdim.linalg import LinalgError, scaled_gram
-from fairdim.metrics import identify_privileged
+from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
+from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
 
 from conftest import make_table, random_grouped
 
@@ -33,6 +32,24 @@ def grouped_from(features, labels):
 def identical_groups():
     # both groups hold the same two rows, so no disparity can exist
     return grouped_from([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]], list("abab"))
+
+
+def moments(g):
+    return prepare(g, 1).moments
+
+
+# one row per group: x_a = [1, 0] privileged, x_b = [0, 1] harmed
+HAND_ROWS = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+HAND_MOMENTS = Moments(
+    c=scaled_gram(np.vstack(HAND_ROWS), 2),
+    c_a=scaled_gram(HAND_ROWS[0], 1),
+    c_b=scaled_gram(HAND_ROWS[1], 1),
+)
+
+
+def fair_projection(m, alpha, r):
+    """Top-r eigenvectors of the weighted covariance at one alpha."""
+    return sym_eig_top_r(weighted_covariance(m, alpha), r).vectors
 
 
 class TestSearchConfig:
@@ -93,40 +110,30 @@ class TestWeightedCovariance:
     def test_alpha_one_is_plain_covariance(self):
         rng = np.random.default_rng(12)
         g = random_grouped(rng, 30, 20, 4)
-        assert np.array_equal(weighted_covariance(g, 1.0), scaled_gram(g.x, g.n))
+        assert np.array_equal(weighted_covariance(moments(g), 1.0), scaled_gram(g.x, g.n))
 
     def test_alpha_zero_hand_case(self):
-        g = GroupedData(
-            x=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            x_a=np.array([[1.0, 0.0]]),
-            x_b=np.array([[0.0, 1.0]]),
-            n=2,
-            n_a=1,
-            n_b=1,
-            label_a="a",
-            label_b="b",
-        )
-        out = weighted_covariance(g, 0.0)
+        out = weighted_covariance(HAND_MOMENTS, 0.0)
         assert np.array_equal(out, np.diag([-1.0, 1.0]))
 
     def test_identical_groups_scale_covariance(self):
         g = identical_groups()
         for alpha in (0.0, 0.3, 0.7, 1.0):
             expected = alpha * scaled_gram(g.x, g.n)
-            assert np.array_equal(weighted_covariance(g, alpha), expected)
+            assert np.array_equal(weighted_covariance(moments(g), alpha), expected)
 
     def test_rejects_alpha_outside_unit_interval(self):
-        g = identical_groups()
+        m = moments(identical_groups())
         with pytest.raises(ValueError):
-            weighted_covariance(g, -0.1)
+            weighted_covariance(m, -0.1)
         with pytest.raises(ValueError):
-            weighted_covariance(g, 1.1)
+            weighted_covariance(m, 1.1)
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(13)
         g = random_grouped(rng, 30, 20, 5)
         for alpha in (0.0, 0.25, 0.6):
-            c = weighted_covariance(g, alpha)
+            c = weighted_covariance(moments(g), alpha)
             assert np.array_equal(c, c.T)
 
 
@@ -137,25 +144,16 @@ class TestFairProjection:
             g = random_grouped(rng, 30, 20, 5)
             for r in (1, 2, 4):
                 u_pca = classical_pca(g, r).u
-                u_fair = fair_projection(g, 1.0, r)
+                u_fair = fair_projection(moments(g), 1.0, r)
                 assert projector_gap(u_fair, u_pca) <= 1e-8
 
     def test_alpha_zero_inverts_privilege(self):
-        g = GroupedData(
-            x=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            x_a=np.array([[1.0, 0.0]]),
-            x_b=np.array([[0.0, 1.0]]),
-            n=2,
-            n_a=1,
-            n_b=1,
-            label_a="a",
-            label_b="b",
-        )
-        u = fair_projection(g, 0.0, 1)
+        u = fair_projection(HAND_MOMENTS, 0.0, 1)
         assert np.allclose(u[:, 0], [0.0, 1.0], atol=1e-12)
         # harmed group is now represented perfectly, privileged one not at all
-        err_a = float(np.sum((g.x_a - g.x_a @ u @ u.T) ** 2))
-        err_b = float(np.sum((g.x_b - g.x_b @ u @ u.T) ** 2))
+        x_a, x_b = HAND_ROWS
+        err_a = float(np.sum((x_a - x_a @ u @ u.T) ** 2))
+        err_b = float(np.sum((x_b - x_b @ u @ u.T) ** 2))
         assert err_b == pytest.approx(0.0, abs=1e-12)
         assert err_a == pytest.approx(1.0, abs=1e-12)
 
@@ -163,7 +161,7 @@ class TestFairProjection:
         g = identical_groups()
         u_pca = classical_pca(g, 1).u
         for alpha in (0.1, 0.5, 0.9, 1.0):
-            assert projector_gap(fair_projection(g, alpha, 1), u_pca) <= 1e-8
+            assert projector_gap(fair_projection(moments(g), alpha, 1), u_pca) <= 1e-8
 
 
 class TestGoldenSection:
@@ -226,22 +224,18 @@ class TestUFpca:
         assert loose.iterations == math.ceil(math.log(1e-2) / math.log(1.0 / GOLDEN_RATIO))
 
     def test_metrics_recomputable(self, s1_grouped):
-        from fairdim.metrics import group_metrics
-
-        fit = u_fpca(s1_grouped, 1)
-        roles = identify_privileged(
-            s1_grouped, classical_pca(s1_grouped, 1).u, prepare(s1_grouped, 1).moments
+        g = s1_grouped
+        fit = u_fpca(g, 1)
+        pca = classical_pca(g, 1)
+        x_privileged, x_harmed = (
+            (g.x_a, g.x_b) if pca.privileged == g.label_a else (g.x_b, g.x_a)
         )
-        again = group_metrics(
-            s1_grouped.x,
-            roles.x_privileged,
-            roles.x_harmed,
-            roles.n_privileged,
-            roles.n_harmed,
-            fit.u,
-        )
-        assert again.overall_err == pytest.approx(fit.metrics.overall_err, rel=1e-9)
-        assert again.fairness == pytest.approx(fit.metrics.fairness, rel=1e-9, abs=1e-15)
+        overall = avg_reconstruction_error_direct(g.x, fit.u)
+        gap = avg_reconstruction_error_direct(
+            x_harmed, fit.u
+        ) - avg_reconstruction_error_direct(x_privileged, fit.u)
+        assert overall == pytest.approx(fit.metrics.overall_err, rel=1e-9)
+        assert gap * gap == pytest.approx(fit.metrics.fairness, rel=1e-9, abs=1e-15)
 
 
 class TestCFpca:
@@ -329,11 +323,11 @@ class TestRoleAssignment:
 
         # the same roles, budget and metric order as a fresh assignment
         p = prepare(g, 2)
-        roles = real(g, p.pca_vectors, p.moments)
+        roles = real(p.moments, p.labels, p.pca_vectors)
         assert (fit.privileged, fit.harmed) == (roles.label_privileged, roles.label_harmed)
         if fit_fn is c_fpca:
-            assert fit.budget == roles.budget
-        again = fairpca_module.moment_metrics(roles.moments, fit.u)
+            assert fit.budget == moment_metrics(roles.moments, p.pca_vectors).err_b
+        again = moment_metrics(roles.moments, fit.u)
         assert again == fit.metrics
 
 

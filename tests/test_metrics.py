@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from fairdim.linalg import LinalgError
+from fairdim.linalg import LinalgError, scaled_gram
 from fairdim.metrics import (
-    avg_reconstruction_error,
+    Moments,
     avg_reconstruction_error_direct,
-    disparity,
-    fairness_measure,
-    group_metrics,
     identify_privileged,
     moment_metrics,
 )
@@ -17,32 +14,53 @@ from conftest import make_table, rand_orthonormal, random_grouped
 from fairdim.dataset import center_and_split
 
 
+def moments_of(x_a, x_b):
+    """The second moments of two row groups, ``x_a`` as group ``a``."""
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    x = np.vstack([x_a, x_b])
+    return Moments(
+        c=scaled_gram(x, x.shape[0]),
+        c_a=scaled_gram(x_a, x_a.shape[0]),
+        c_b=scaled_gram(x_b, x_b.shape[0]),
+    )
+
+
+def moment_err(x, u) -> float:
+    """One row group's average error through the moment form."""
+    return moment_metrics(moments_of(x, x), u).overall_err
+
+
 class TestAvgReconstructionError:
     def test_full_rank_is_zero(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 4))
         q = rand_orthonormal(rng, 4, 4)
-        assert avg_reconstruction_error(x, q) == pytest.approx(0.0, abs=1e-12)
+        assert moment_err(x, q) == pytest.approx(0.0, abs=1e-12)
+        assert avg_reconstruction_error_direct(x, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_projection(self):
         x = np.eye(2)
         u = np.array([[1.0], [0.0]])
-        assert avg_reconstruction_error(x, u) == pytest.approx(0.5, abs=1e-15)
+        assert moment_err(x, u) == pytest.approx(0.5, abs=1e-15)
+        assert avg_reconstruction_error_direct(x, u) == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_residual(self):
         x = np.array([[3.0, 4.0]])
         u = np.array([[1.0], [0.0]])
-        assert avg_reconstruction_error(x, u) == pytest.approx(16.0, abs=1e-12)
+        assert moment_err(x, u) == pytest.approx(16.0, abs=1e-12)
+        assert avg_reconstruction_error_direct(x, u) == pytest.approx(16.0, abs=1e-12)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(LinalgError, match="orthonormal"):
-            avg_reconstruction_error(np.eye(2), np.array([[1.0], [1.0]]))
+            avg_reconstruction_error_direct(np.eye(2), np.array([[1.0], [1.0]]))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(LinalgError):
-            avg_reconstruction_error(np.eye(3), np.array([[1.0], [0.0]]))
+            avg_reconstruction_error_direct(np.eye(3), np.array([[1.0], [0.0]]))
 
     def test_subtraction_form_matches_direct(self):
+        # tr(C) - tr(U'CU) against the explicit residual
         rng = np.random.default_rng(2)
         for _ in range(30):
             n = int(rng.integers(2, 40))
@@ -50,7 +68,7 @@ class TestAvgReconstructionError:
             r = int(rng.integers(1, d + 1))
             x = rng.standard_normal((n, d)) * 3.0
             u = rand_orthonormal(rng, d, r)
-            fast = avg_reconstruction_error(x, u)
+            fast = moment_err(x, u)
             slow = avg_reconstruction_error_direct(x, u)
             assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
 
@@ -58,44 +76,39 @@ class TestAvgReconstructionError:
 class TestDisparity:
     def test_orthogonal_groups(self):
         u = np.array([[1.0], [0.0]])
-        out = disparity([[1.0, 0.0]], [[0.0, 1.0]], 1, 1, u)
+        out = moment_metrics(moments_of([[1.0, 0.0]], [[0.0, 1.0]]), u).disparity
         assert out == pytest.approx(1.0, abs=1e-15)
 
     def test_identical_groups_zero(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 3))
         u = rand_orthonormal(rng, 3, 2)
-        assert disparity(x, x, 5, 5, u) == 0.0
+        assert moment_metrics(moments_of(x, x), u).disparity == 0.0
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(4)
-        xa = rng.standard_normal((6, 3))
-        xb = rng.standard_normal((4, 3))
+        m = moments_of(rng.standard_normal((6, 3)), rng.standard_normal((4, 3)))
         u = rand_orthonormal(rng, 3, 1)
-        assert disparity(xa, xb, 6, 4, u) == pytest.approx(
-            -disparity(xb, xa, 4, 6, u), abs=1e-15
-        )
+        assert moment_metrics(m, u).disparity == -moment_metrics(m.swapped(), u).disparity
 
 
 class TestFairnessMeasure:
     def test_square_of_unit_disparity(self):
         u = np.array([[1.0], [0.0]])
-        assert fairness_measure([[1.0, 0.0]], [[0.0, 1.0]], 1, 1, u) == pytest.approx(1.0)
+        m = moments_of([[1.0, 0.0]], [[0.0, 1.0]])
+        assert moment_metrics(m, u).fairness == pytest.approx(1.0)
 
     def test_identical_groups(self):
         x = np.ones((3, 2))
         u = np.array([[1.0], [0.0]])
-        assert fairness_measure(x, x, 3, 3, u) == 0.0
+        assert moment_metrics(moments_of(x, x), u).fairness == 0.0
 
     def test_even_in_sign(self):
         # swapping roles flips the disparity but not its square
         rng = np.random.default_rng(5)
-        xa = rng.standard_normal((6, 3))
-        xb = rng.standard_normal((4, 3))
+        m = moments_of(rng.standard_normal((6, 3)), rng.standard_normal((4, 3)))
         u = rand_orthonormal(rng, 3, 2)
-        assert fairness_measure(xa, xb, 6, 4, u) == pytest.approx(
-            fairness_measure(xb, xa, 4, 6, u), rel=1e-12
-        )
+        assert moment_metrics(m, u).fairness == moment_metrics(m.swapped(), u).fairness
 
 
 class TestIdentifyPrivileged:
@@ -104,26 +117,27 @@ class TestIdentifyPrivileged:
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
         )
         u = np.array([[1.0], [0.0]])  # keeps group a perfectly
-        roles = identify_privileged(g, u, prepare(g, 1).moments)
+        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
         assert roles.label_privileged == "a"
         assert roles.label_harmed == "b"
-        assert roles.budget == pytest.approx(4.0)  # harmed rows (0,±2) lost entirely
+        # harmed rows (0,±2) lost entirely
+        assert moment_metrics(roles.moments, u).err_b == pytest.approx(4.0)
 
     def test_second_group_favored(self):
         g = center_and_split(
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
         )
         u = np.array([[0.0], [1.0]])
-        roles = identify_privileged(g, u, prepare(g, 1).moments)
+        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
         assert roles.label_privileged == "b"
-        assert roles.budget == pytest.approx(1.0)
+        assert moment_metrics(roles.moments, u).err_b == pytest.approx(1.0)
 
     def test_tie_goes_to_first_group(self):
         g = center_and_split(
             make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], list("aabb"))
         )
         u = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)]])  # symmetric: both err 0.5
-        roles = identify_privileged(g, u, prepare(g, 1).moments)
+        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
         assert roles.label_privileged == "a"
 
 
@@ -132,10 +146,11 @@ class TestMetricProperties:
         rng = np.random.default_rng(6)
         g = random_grouped(rng, 30, 20, 5)
         u = classical_pca(g, 3).u
-        base = group_metrics(g.x, g.x_a, g.x_b, g.n_a, g.n_b, u)
+        moments = prepare(g, 1).moments
+        base = moment_metrics(moments, u)
         for _ in range(10):
             q = rand_orthonormal(rng, 3, 3)
-            mixed = group_metrics(g.x, g.x_a, g.x_b, g.n_a, g.n_b, u @ q)
+            mixed = moment_metrics(moments, u @ q)
             assert mixed.overall_err == pytest.approx(base.overall_err, abs=1e-9)
             assert mixed.err_a == pytest.approx(base.err_a, abs=1e-9)
             assert mixed.err_b == pytest.approx(base.err_b, abs=1e-9)
@@ -153,7 +168,7 @@ class TestMetricProperties:
         for _ in range(10):
             g = random_grouped(rng, 20, 15, 4)
             u = rand_orthonormal(rng, 4, 2)
-            m = group_metrics(g.x, g.x_a, g.x_b, g.n_a, g.n_b, u)
+            m = moment_metrics(prepare(g, 1).moments, u)
             mix = (g.n_a * m.err_a + g.n_b * m.err_b) / g.n
             assert m.overall_err == pytest.approx(mix, rel=1e-9)
             assert m.fairness == pytest.approx(m.disparity**2, rel=1e-12)
