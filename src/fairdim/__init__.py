@@ -13,12 +13,10 @@ from .metrics import (
 )
 from .fairpca import (
     FairFitResult,
-    GoldenSectionResult,
     Prepared,
     SearchConfig,
     c_fpca,
     classical_pca,
-    golden_section,
     prepare,
     u_fpca,
     weighted_covariance,

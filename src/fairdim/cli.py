@@ -32,6 +32,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+TOL_HELP = "width of the final alpha bracket (default 1e-6)"
+
 
 class _UsageError(Exception):
     """Flag-level problem; maps to exit code 1."""
@@ -75,7 +77,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--sensitive-col", required=True)
     fit.add_argument("--method", required=True, choices=METHODS)
     fit.add_argument("--rank", required=True, type=_positive_int)
-    fit.add_argument("--tol", type=_positive_float, default=1e-6)
+    fit.add_argument("--tol", type=_positive_float, default=1e-6, help=TOL_HELP)
     fit.add_argument("--balanced", action="store_true")
     fit.add_argument("--output", type=Path)
 
@@ -83,7 +85,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--input", required=True, type=Path)
     sweep.add_argument("--sensitive-col", required=True)
     sweep.add_argument("--max-rank", required=True, type=_positive_int)
-    sweep.add_argument("--tol", type=_positive_float, default=1e-6)
+    sweep.add_argument("--tol", type=_positive_float, default=1e-6, help=TOL_HELP)
     sweep.add_argument("--balanced", action="store_true")
     sweep.add_argument("--output", type=Path)
 
@@ -138,9 +140,10 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
     if args.output is not None:
-        stem = args.output.with_suffix("")
-        jsonl_path = stem.with_suffix(".jsonl")
-        csv_path = stem.with_suffix(".csv")
+        # strip only a final .jsonl: report.v2.jsonl keeps its .v2
+        stem = args.output.name.removesuffix(".jsonl")
+        jsonl_path = args.output.with_name(stem + ".jsonl")
+        csv_path = args.output.with_name(stem + ".csv")
         with jsonl_path.open("w", encoding="utf-8") as fh:
             write_report_jsonl(report, fh)
         with csv_path.open("w", encoding="utf-8") as fh:

@@ -7,11 +7,23 @@ is minimized, for a fixed alpha, by the top eigenvectors of
 
 with group a privileged and group b harmed. At alpha = 1 this is exactly
 the plain covariance; as alpha drops, directions that retain the harmed
-group's variance (at the privileged group's expense) take over, and at
-alpha = 0 the roles typically invert. The fits search alpha in [0, 1] by
-golden section for the value with the smallest squared disparity, the
-constrained variant additionally capping both groups' errors at the
-harmed group's plain-PCA error.
+group's variance (at the privileged group's expense) take over.
+
+The search over alpha is a root find. With C = X'X/n, D = Xb'Xb/n_b -
+Xa'Xa/n_a, f(U) = tr(U'CU) and g(U) = tr(U'DU), the rank-r U(alpha)
+maximizes alpha * f + (1 - alpha) * g. Comparing the optimality of
+U(alpha1) and U(alpha2) at both weights shows that f never decreases and
+g never increases as alpha grows (an exchange argument; Topkis 1978). So
+the disparity (tr_b - tr_a) - g is non-decreasing in alpha, while the
+overall error tr - f and the privileged error tr_a - f + (n_b/n) g are
+non-increasing. Where eigenvalues cross at rank r the disparity can jump
+over zero, and no exactly fair rank-r fit exists (Samadi et al. 2018).
+
+The constrained fit caps both groups' errors at the harmed group's
+plain-PCA error. Plain PCA meets that cap by construction: its harmed
+error is the cap and its privileged error is no larger. The cap's
+bisection starts with alpha = 1 as its upper end and only ever replaces
+that end by a point that meets the cap, so its answer always does too.
 
 Everything a fit needs from the data is its three d x d second moments
 and the plain-PCA eigenvectors. ``prepare`` computes both once and keeps
@@ -24,9 +36,8 @@ builds its own.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +51,15 @@ from .metrics import (
 )
 
 __all__ = [
-    "GOLDEN_RATIO",
     "SearchConfig",
-    "GoldenSectionResult",
     "FairFitResult",
     "Prepared",
     "prepare",
     "classical_pca",
     "weighted_covariance",
-    "golden_section",
     "u_fpca",
     "c_fpca",
 ]
-
-GOLDEN_RATIO = (math.sqrt(5.0) + 1.0) / 2.0
 
 # Slack allowed when verifying a constrained fit against its error budget.
 _BUDGET_SLACK = 1e-9
@@ -65,23 +71,13 @@ METHOD_CFPCA = "cfpca"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Golden-section settings: stop once the bracket is narrower than tol."""
+    """Search settings: stop once the alpha bracket is narrower than tol."""
 
     tol: float = 1e-6
-    max_iterations: int = 100
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-class GoldenSectionResult(NamedTuple):
-    alpha: float
-    iterations: int
-    lo: float
-    hi: float
 
 
 @dataclass(frozen=True)
@@ -198,69 +194,10 @@ def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
     )
 
 
-def golden_section(
-    objective: Callable[[float], float],
-    feasible: Callable[[float], bool] | None = None,
-    config: SearchConfig | None = None,
-) -> GoldenSectionResult:
-    """Minimize a scalar function over [0, 1] by golden-section contraction.
-
-    Each iteration compares the two interior candidates and keeps the
-    sub-bracket around the better one, reusing the surviving candidate's
-    value so only one fresh evaluation happens per iteration. With a
-    feasibility predicate, the lower candidate wins only when it is both
-    better and feasible; otherwise the bracket moves up toward 1, where
-    the constrained fits are feasible by construction.
-
-    Returns the final bracket midpoint and the iteration count.
-    """
-    cfg = config or SearchConfig()
-    inv_ratio = 1.0 / GOLDEN_RATIO
-    lo, hi = 0.0, 1.0
-    iterations = 0
-
-    def evaluate(alpha: float) -> tuple[float, float, bool]:
-        ok = True if feasible is None else bool(feasible(alpha))
-        return alpha, objective(alpha), ok
-
-    if (hi - lo) > cfg.tol:
-        lower = evaluate(hi - (hi - lo) * inv_ratio)
-        upper = evaluate(lo + (hi - lo) * inv_ratio)
-        while (hi - lo) > cfg.tol and iterations < cfg.max_iterations:
-            if lower[1] <= upper[1] and lower[2]:
-                hi = upper[0]
-                upper = lower
-                lower = evaluate(hi - (hi - lo) * inv_ratio)
-            else:
-                lo = lower[0]
-                lower = upper
-                upper = evaluate(lo + (hi - lo) * inv_ratio)
-            iterations += 1
-
-    return GoldenSectionResult((lo + hi) * 0.5, iterations, lo, hi)
-
-
-@dataclass
-class _AlphaEvaluator:
-    """Memoized per-alpha evaluation: one eigendecomposition per new alpha."""
-
-    moments: Moments  # privileged group as ``a``
-    r: int
-    cache: dict = field(default_factory=dict)
-
-    def __call__(self, alpha: float):
-        hit = self.cache.get(alpha)
-        if hit is None:
-            u = sym_eig_top_r(weighted_covariance(self.moments, alpha), self.r).vectors
-            hit = self._record(alpha, u)
-        return hit
-
-    def seed(self, alpha: float, u: np.ndarray):
-        return self._record(alpha, u)
-
-    def _record(self, alpha: float, u: np.ndarray):
-        self.cache[alpha] = (u, moment_metrics(self.moments, u))
-        return self.cache[alpha]
+class _Point(NamedTuple):
+    alpha: float
+    u: np.ndarray
+    metrics: GroupMetrics
 
 
 def _prepare_search(data: GroupedData | Prepared, r: int):
@@ -269,9 +206,66 @@ def _prepare_search(data: GroupedData | Prepared, r: int):
     p = _prepared(data, r)
     pca = classical_pca(p, r)
     m = p.moments if pca.privileged == p.labels[0] else p.moments.swapped()
-    evaluator = _AlphaEvaluator(moments=m, r=r)
-    evaluator.seed(1.0, pca.u)
-    return pca, evaluator
+
+    def evaluate(alpha: float) -> _Point:
+        if alpha == 1.0:  # plain PCA itself: no second solve
+            return _Point(1.0, pca.u, pca.metrics)
+        u = sym_eig_top_r(weighted_covariance(m, alpha), r).vectors
+        return _Point(alpha, u, moment_metrics(m, u))
+
+    return pca, evaluate
+
+
+def _bisect(evaluate, lo: _Point, hi: _Point, upper, tol: float):
+    """Halve [lo, hi] while keeping ``upper`` true at hi and false at lo.
+
+    Stops once the bracket is narrower than ``tol`` or its midpoint is no
+    longer strictly inside it, which at the latest is when the ends are
+    adjacent floats. Returns the final ends and the number of halvings.
+    """
+    halvings = 0
+    while hi.alpha - lo.alpha >= tol:
+        mid = 0.5 * (lo.alpha + hi.alpha)
+        if not lo.alpha < mid < hi.alpha:
+            break
+        point = evaluate(mid)
+        if upper(point):
+            hi = point
+        else:
+            lo = point
+        halvings += 1
+    return lo, hi, halvings
+
+
+def _root_candidates(evaluate, tol: float) -> tuple[list[_Point], int]:
+    """The points u_fpca picks from, and the halvings it took to find them:
+    plain PCA when it is already fair, alpha = 0 when even that leaves the
+    harmed group worse off, and otherwise both ends of the bracket around
+    the disparity's sign change plus the secant point between them."""
+    one = evaluate(1.0)
+    if one.metrics.disparity <= 0.0:
+        return [one], 0
+    zero = evaluate(0.0)
+    if zero.metrics.disparity > 0.0:
+        return [zero], 0
+    lo, hi, halvings = _bisect(
+        evaluate, zero, one, lambda p: p.metrics.disparity > 0.0, tol
+    )
+    d_lo, d_hi = lo.metrics.disparity, hi.metrics.disparity
+    secant = evaluate(lo.alpha + (hi.alpha - lo.alpha) * d_lo / (d_lo - d_hi))
+    return [lo, hi, secant], halvings
+
+
+def _fairest(points: list[_Point]) -> _Point:
+    # the larger alpha wins a tie: it gives up less overall error
+    return min(points, key=lambda p: (p.metrics.fairness, -p.alpha))
+
+
+def _result(method, pca, best: _Point, halvings, budget=None) -> FairFitResult:
+    return FairFitResult(
+        method, best.alpha, best.u, best.metrics, halvings, budget,
+        pca.privileged, pca.harmed,
+    )
 
 
 def u_fpca(
@@ -280,21 +274,12 @@ def u_fpca(
     """Unconstrained fair fit: pick alpha minimizing the squared disparity.
 
     Runs plain PCA once to freeze the privileged/harmed roles, then
-    golden-sections the squared disparity over alpha and refits at the
-    final bracket midpoint.
+    bisects alpha on the sign of the disparity and returns the fairest
+    of the final bracket's ends and its secant point.
     """
     pca, evaluate = _prepare_search(data, r)
-    result = golden_section(lambda a: evaluate(a)[1].fairness, None, config)
-    u, m = evaluate(result.alpha)
-    return FairFitResult(
-        method=METHOD_UFPCA,
-        alpha=result.alpha,
-        u=u,
-        metrics=m,
-        iterations=result.iterations,
-        privileged=pca.privileged,
-        harmed=pca.harmed,
-    )
+    candidates, halvings = _root_candidates(evaluate, (config or SearchConfig()).tol)
+    return _result(METHOD_UFPCA, pca, _fairest(candidates), halvings)
 
 
 def c_fpca(
@@ -303,40 +288,21 @@ def c_fpca(
     """Constrained fair fit: like u_fpca, but neither group's error may
     exceed the harmed group's plain-PCA error.
 
-    The bracket update alone cannot certify the final midpoint, so if the
-    midpoint breaks the budget (or is less fair than plain PCA), the fit
-    falls back to the best feasible alpha among those evaluated; alpha = 1
-    reproduces plain PCA exactly and is always feasible.
+    Returns the fairest of u_fpca's candidates that meets the budget. If
+    none does, bisects between the highest candidate and alpha = 1 for
+    where the budget starts to hold, and returns that bracket's upper end.
     """
     pca, evaluate = _prepare_search(data, r)
+    tol = (config or SearchConfig()).tol
     budget = pca.metrics.err_b
 
-    def feasible(alpha: float) -> bool:
-        m = evaluate(alpha)[1]
-        return m.err_a <= budget and m.err_b <= budget
+    def meets(p: _Point) -> bool:
+        return p.metrics.err_a <= budget and p.metrics.err_b <= budget
 
-    result = golden_section(lambda a: evaluate(a)[1].fairness, feasible, config)
-    alpha_star = result.alpha
-    u, m = evaluate(alpha_star)
-    if (
-        m.err_a > budget + _BUDGET_SLACK
-        or m.err_b > budget + _BUDGET_SLACK
-        or m.fairness > pca.metrics.fairness
-    ):
-        candidates = [
-            (metrics.fairness, -alpha, alpha)
-            for alpha, (_, metrics) in evaluate.cache.items()
-            if metrics.err_a <= budget and metrics.err_b <= budget
-        ]
-        _, _, alpha_star = min(candidates)
-        u, m = evaluate(alpha_star)
-    return FairFitResult(
-        method=METHOD_CFPCA,
-        alpha=alpha_star,
-        u=u,
-        metrics=m,
-        iterations=result.iterations,
-        budget=budget,
-        privileged=pca.privileged,
-        harmed=pca.harmed,
-    )
+    candidates, halvings = _root_candidates(evaluate, tol)
+    feasible = [p for p in candidates if meets(p)]
+    if feasible:
+        return _result(METHOD_CFPCA, pca, _fairest(feasible), halvings, budget)
+    highest = max(candidates, key=lambda p: p.alpha)
+    _, best, more = _bisect(evaluate, highest, evaluate(1.0), meets, tol)
+    return _result(METHOD_CFPCA, pca, best, halvings + more, budget)

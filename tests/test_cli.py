@@ -150,6 +150,17 @@ class TestSweep:
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
 
+    def test_dotted_output_name_keeps_its_dots(self, s1_csv, tmp_path):
+        out = tmp_path / "report.v2.jsonl"
+        assert run_cli(
+            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+            "--max-rank", "1", "--output", str(out),
+        ) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "report.v2.csv", "report.v2.jsonl", "s1.csv",
+        ]
+        assert read_report_jsonl(out).dataset_id == "s1"
+
     def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
         rng = np.random.default_rng(23)
         path = toy_csv(rng.standard_normal((9, 2)), ["a"] * 6 + ["b"] * 3,

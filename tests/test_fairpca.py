@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairdim.dataset import center_and_split
 from fairdim.fairpca import (
-    GOLDEN_RATIO,
     FairFitResult,
     SearchConfig,
+    _bisect,
+    _Point,
     c_fpca,
     classical_pca,
-    golden_section,
     prepare,
     u_fpca,
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
-from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
+from fairdim.metrics import (
+    Moments,
+    avg_reconstruction_error_direct,
+    identify_privileged,
+    moment_metrics,
+)
 
 from conftest import make_table, random_grouped
 
@@ -56,7 +62,6 @@ class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
         assert cfg.tol == 1e-6
-        assert cfg.max_iterations == 100
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -164,46 +169,84 @@ class TestFairProjection:
             assert projector_gap(fair_projection(moments(g), alpha, 1), u_pca) <= 1e-8
 
 
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        res = golden_section(lambda a: (a - 0.3) ** 2)
-        assert abs(res.alpha - 0.3) <= 1e-6
-        assert res.hi - res.lo <= 1e-6
+class TestDisparityMonotone:
+    """The search treats the disparity as non-decreasing in alpha, and the
+    overall and privileged errors as non-increasing (see the fairpca
+    module docstring); check that on hostile random instances."""
 
-    def test_monotone_boundary(self):
-        res = golden_section(lambda a: a)
-        assert res.alpha <= 1e-6
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 11),
+        n_b=st.integers(2, 8),
+        duplicate=st.booleans(),
+        constant=st.booleans(),
+    )
+    def test_monotone_on_alpha_grid(self, seed, d, n_b, duplicate, constant):
+        rng = np.random.default_rng(seed)
+        n_a = 14 * n_b
+        # the groups stretch differently along independently rotated axes
+        xs = [
+            (rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, d))
+            @ np.linalg.qr(rng.standard_normal((d, d)))[0]
+            for n in (n_a, n_b)
+        ]
+        x = np.vstack(xs)
+        if duplicate:
+            x[:, 1] = x[:, 0]
+        if constant:
+            x[:, -1] = 3.0
+        g = grouped_from(x, ["a"] * n_a + ["b"] * n_b)
+        p = prepare(g, d)
+        # full eigenbases on the grid per role order; rank r takes r columns
+        bases = {}
+        for r in range(1, d + 1):
+            m = identify_privileged(p.moments, p.labels, p.pca_vectors[:, :r]).moments
+            key = m.c_a is p.moments.c_a
+            if key not in bases:
+                bases[key] = [fair_projection(m, a, d) for a in np.linspace(0, 1, 201)]
+            slack = 1e-12 * (m.tr_a + m.tr_b)
+            grid = [moment_metrics(m, u[:, :r]) for u in bases[key]]
+            for lo, hi in zip(grid, grid[1:]):
+                assert hi.disparity >= lo.disparity - slack
+                assert hi.overall_err <= lo.overall_err + slack
+                assert hi.err_a <= lo.err_a + slack
 
-    def test_iteration_count(self):
-        res = golden_section(lambda a: (a - 0.5) ** 2)
-        bound = math.ceil(math.log(1e-6) / math.log(1.0 / GOLDEN_RATIO))
-        assert bound == 29
-        assert res.iterations == 29
 
-    def test_one_fresh_evaluation_per_iteration(self):
-        calls = []
-        res = golden_section(lambda a: calls.append(a) or (a - 0.44) ** 2)
-        assert len(calls) == res.iterations + 2
+class TestBisect:
+    @staticmethod
+    def bisect(threshold, tol, calls=None):
+        """Bisect [0, 1] on ``alpha > threshold``; the bracket's alphas."""
 
-    def test_bracket_width_follows_ratio(self):
-        for tol in (1e-3, 1e-6):
-            res = golden_section(lambda a: (a - 0.7) ** 2, config=SearchConfig(tol=tol))
-            assert abs((res.hi - res.lo) - (1.0 / GOLDEN_RATIO) ** res.iterations) <= 1e-12
+        def evaluate(alpha):
+            if calls is not None:
+                calls.append(alpha)
+            return _Point(alpha, None, None)
 
-    def test_feasibility_pushes_bracket_up(self):
-        res = golden_section(lambda a: (a - 0.2) ** 2, feasible=lambda a: a >= 0.5)
-        assert abs(res.alpha - 0.5) <= 1e-6
-
-    def test_wide_tolerance_returns_midpoint(self):
-        res = golden_section(lambda a: a, config=SearchConfig(tol=2.0))
-        assert res.alpha == 0.5
-        assert res.iterations == 0
-
-    def test_max_iterations_cap(self):
-        res = golden_section(
-            lambda a: (a - 0.5) ** 2, config=SearchConfig(tol=1e-12, max_iterations=10)
+        lo, hi, halvings = _bisect(
+            evaluate, evaluate(0.0), evaluate(1.0), lambda p: p.alpha > threshold, tol
         )
-        assert res.iterations == 10
+        return lo.alpha, hi.alpha, halvings
+
+    def test_halving_count_and_bracket(self):
+        for tol in (1e-2, 1e-6):
+            lo, hi, halvings = self.bisect(0.3, tol)
+            assert halvings == math.ceil(math.log2(1.0 / tol))
+            assert lo <= 0.3 < hi and hi - lo == 2.0**-halvings
+
+    def test_one_evaluation_per_halving(self):
+        calls = []
+        _, _, halvings = self.bisect(0.44, 1e-6, calls)
+        assert len(calls) == halvings + 2  # the two ends, then the halvings
+
+    def test_stops_at_adjacent_floats(self):
+        lo, hi, halvings = self.bisect(0.3, 5e-324)
+        assert hi == np.nextafter(lo, 1.0)
+        assert lo <= 0.3 < hi
+        assert halvings <= 64
+
+    def test_wide_tolerance_does_not_halve(self):
+        assert self.bisect(0.3, 2.0) == (0.0, 1.0, 0)
 
 
 class TestUFpca:
@@ -217,11 +260,26 @@ class TestUFpca:
         assert fit.metrics.fairness <= pca.metrics.fairness
         assert fit.method == "ufpca"
         assert 0.0 <= fit.alpha <= 1.0
-        assert fit.iterations == 29
+        assert fit.iterations == 20
 
     def test_respects_tolerance_config(self, s1_grouped):
         loose = u_fpca(s1_grouped, 1, SearchConfig(tol=1e-2))
-        assert loose.iterations == math.ceil(math.log(1e-2) / math.log(1.0 / GOLDEN_RATIO))
+        assert loose.iterations == 7
+
+    def test_terminates_without_iteration_cap(self, s1_grouped):
+        # the finest tol halves until the bracket's ends are adjacent floats
+        fine = u_fpca(s1_grouped, 1, SearchConfig(tol=5e-324))
+        assert fine.iterations <= 64
+        assert fine.metrics.fairness <= u_fpca(s1_grouped, 1).metrics.fairness
+
+    def test_never_less_fair_than_pca_across_a_crossing(self):
+        # plain PCA fits this exactly; the second column is all zeros
+        rng = np.random.default_rng(0)
+        col = np.vstack([2.0 * rng.standard_normal((40, 1)), rng.standard_normal((30, 1))])
+        g = grouped_from(np.hstack([col, np.zeros((70, 1))]), ["a"] * 40 + ["b"] * 30)
+        fit = u_fpca(g, 1)
+        assert fit.alpha == 1.0
+        assert fit.metrics.fairness == 0.0
 
     def test_metrics_recomputable(self, s1_grouped):
         g = s1_grouped
@@ -284,6 +342,34 @@ class TestCFpca:
             assert fit.metrics.err_b <= fit.budget + 1e-9
             assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
 
+    def test_budget_bisection_matches_grid_oracle(self):
+        # where u_fpca's fit breaks the budget, c_fpca bisects between it
+        # and plain PCA; it must land on the fairest alpha of a 1001-point
+        # grid that meets the budget
+        rng = np.random.default_rng(15)
+        seen = 0
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            g = random_grouped(rng, int(rng.integers(3, 50)), int(rng.integers(3, 50)), d)
+            r = int(rng.integers(1, d + 1))
+            fit, root = c_fpca(g, r), u_fpca(g, r)
+            if max(root.metrics.err_a, root.metrics.err_b) <= fit.budget:
+                continue
+            seen += 1
+            assert max(fit.metrics.err_a, fit.metrics.err_b) <= fit.budget
+            assert fit.alpha > root.alpha
+            p = prepare(g, r)
+            m = identify_privileged(p.moments, p.labels, p.pca_vectors).moments
+            grid = [
+                moment_metrics(m, fair_projection(m, a, r))
+                for a in np.linspace(0.0, 1.0, 1001)
+            ]
+            best = min(
+                x.fairness for x in grid if max(x.err_a, x.err_b) <= fit.budget
+            )
+            assert fit.metrics.fairness <= best + 1e-12
+        assert seen >= 2
+
     def test_one_decomposition_per_alpha(self, s1_grouped, monkeypatch):
         import fairdim.fairpca as fairpca_module
 
@@ -296,10 +382,9 @@ class TestCFpca:
 
         monkeypatch.setattr(fairpca_module, "sym_eig_top_r", counting)
         fit = c_fpca(s1_grouped, 1)
-        # one for the baseline PCA, two opening candidates, one fresh
-        # candidate per contraction, one midpoint refit; the feasibility
-        # probe at each alpha rides the cache
-        assert calls["n"] == fit.iterations + 4
+        # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
+        # one per halving and one at the secant point
+        assert calls["n"] == fit.iterations + 3
 
 
 class TestRoleAssignment:
