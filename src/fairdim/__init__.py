@@ -2,7 +2,7 @@
 the error gap between two sensitive groups."""
 
 from .dataset import DataError, GroupedData, RawTable, balance, center_and_split, load_grouped, load_table
-from .linalg import EigenPairs, LinalgError, scaled_gram, sym_eig_top_r
+from .linalg import LinalgError
 from .metrics import (
     GroupMetrics,
     Moments,

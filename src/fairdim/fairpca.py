@@ -31,7 +31,9 @@ only them and the two group labels, so no step after it touches the
 n x d rows: ``weighted_covariance`` blends the moments, ``sym_eig_top_r``
 projects, and ``metrics.moment_metrics`` scores. A sweep shares one
 ``Prepared`` across all of its (rank, method) cells, and a single fit
-builds its own.
+builds its own. ``prepare`` is also the one numeric gate: once C, D and
+the squared traces are finite, every blend is finite and bitwise
+symmetric by construction, so the per-alpha eigensolve checks nothing.
 """
 
 from __future__ import annotations
@@ -139,13 +141,29 @@ class Prepared:
 
 
 def prepare(g: GroupedData, max_rank: int) -> Prepared:
-    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``."""
+    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``.
+
+    Raises ``LinalgError`` unless C, C_b - C_a and the squared traces are
+    finite. Each group error lies in [0, tr_k], so the last check keeps
+    every fairness (a squared error gap) finite too.
+    """
     _check_rank(max_rank, g.x.shape[1])
-    moments = Moments(
-        c=scaled_gram(g.x, g.n),
-        c_a=scaled_gram(g.x_a, g.n_a),
-        c_b=scaled_gram(g.x_b, g.n_b),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = Moments(
+            c=scaled_gram(g.x, g.n),
+            c_a=scaled_gram(g.x_a, g.n_a),
+            c_b=scaled_gram(g.x_b, g.n_b),
+        )
+        finite = (
+            np.isfinite(np.square([moments.tr, moments.tr_a, moments.tr_b])).all()
+            and np.isfinite(moments.c).all()
+            and np.isfinite(moments.c_b - moments.c_a).all()
+        )
+    if not finite:
+        raise LinalgError(
+            "second moments or their squares overflow float64 "
+            "(or the features hold NaN/Inf); rescale the features"
+        )
     return Prepared(
         (g.label_a, g.label_b), moments, sym_eig_top_r(moments.c, max_rank).vectors
     )
@@ -239,11 +257,13 @@ def _bisect(evaluate, lo: _Point, hi: _Point, upper, tol: float):
 
 def _root_candidates(evaluate, tol: float) -> tuple[list[_Point], int]:
     """The points u_fpca picks from, and the halvings it took to find them:
-    plain PCA when it is already fair, alpha = 0 when even that leaves the
-    harmed group worse off, and otherwise both ends of the bracket around
-    the disparity's sign change plus the secant point between them."""
+    plain PCA when it is already fair or keeps every dimension, alpha = 0
+    when even that leaves the harmed group worse off, and otherwise both
+    ends of the bracket around the disparity's sign change plus the secant
+    point between them."""
     one = evaluate(1.0)
-    if one.metrics.disparity <= 0.0:
+    # at r = d plain PCA is exact and every error is round-off: nothing to search
+    if one.metrics.disparity <= 0.0 or one.u.shape[1] == one.u.shape[0]:
         return [one], 0
     zero = evaluate(0.0)
     if zero.metrics.disparity > 0.0:

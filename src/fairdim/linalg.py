@@ -1,18 +1,18 @@
 """Dense real-matrix helpers and the symmetric eigensolver.
 
-Matrices are plain 2-D float64 numpy arrays. Every public operation
-validates its inputs (shape, finiteness, symmetry where required) so that
-bad data fails loudly at the boundary instead of corrupting results
-downstream. The eigendecomposition is LAPACK's symmetric solver
-(``numpy.linalg.eigh``); a solver failure raises ``LinalgError`` rather
-than returning unconverged pairs. All functions are pure and
-deterministic: identical input bytes give identical output bytes.
+Matrices are plain 2-D float64 numpy arrays. The gram and the
+eigensolver do no numeric validation of their own: ``fairpca.prepare``
+checks once that the second moments are finite, and every matrix built
+from them after that is finite and bitwise symmetric by construction. The
+eigendecomposition is LAPACK's symmetric solver (``numpy.linalg.eigh``);
+a solver failure raises ``LinalgError`` rather than returning
+unconverged pairs. All functions are pure and deterministic: identical
+input bytes give identical output bytes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +23,6 @@ __all__ = [
     "scaled_gram",
     "sym_eig_top_r",
 ]
-
-# Validation tolerances for the eigensolver's input and output.
-_SYMMETRY_RTOL = 1e-9    # max allowed |C - C^T| relative to ||C||_F
-_ORTHO_TOL = 1e-9        # eigenvector orthonormality check
 
 
 class LinalgError(ValueError):
@@ -46,71 +42,48 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def scaled_gram(x, divisor: int) -> np.ndarray:
     """Return ``x.T @ x / divisor``, symmetrized to kill round-off skew.
 
-    The result is positive semidefinite up to round-off; symmetrizing via
-    (M + M.T)/2 makes it bitwise symmetric so the eigensolver's symmetry
-    check never trips on accumulation noise.
+    Symmetrizing via (M + M.T)/2 makes the result bitwise symmetric, so
+    every blend of such grams is too. A non-finite entry of ``x`` makes
+    its own diagonal term non-finite, which ``fairpca.prepare`` rejects.
     """
-    x = as_matrix(x, "x")
+    x = np.asarray(x, dtype=np.float64)
     if divisor < 1:
         raise LinalgError(f"divisor must be a positive count, got {divisor}")
     g = (x.T @ x) / float(divisor)
     return (g + g.T) * 0.5
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues sorted descending with matched orthonormal eigenvectors.
+class EigenPairs(NamedTuple):
+    """Eigenvalues sorted descending; ``values[j]`` pairs with column
+    ``vectors[:, j]`` of the orthonormal, C-contiguous ``vectors``."""
 
-    ``values[j]`` pairs with column ``vectors[:, j]``.
-    """
-
-    values: np.ndarray   # shape (k,), descending
-    vectors: np.ndarray  # shape (d, k), orthonormal columns
-
-    def __post_init__(self):
-        if self.values.ndim != 1 or self.vectors.ndim != 2:
-            raise LinalgError("eigenpairs must hold a 1-D value array and 2-D vectors")
-        if self.vectors.shape[1] != self.values.shape[0]:
-            raise LinalgError("eigenvalue/eigenvector count mismatch")
-        if np.any(np.diff(self.values) > 0):
-            raise LinalgError("eigenvalues must be sorted descending")
-        gram = self.vectors.T @ self.vectors
-        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _ORTHO_TOL:
-            raise LinalgError("eigenvectors are not orthonormal")
-        self.values.setflags(write=False)
-        self.vectors.setflags(write=False)
-
-
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    # Flip so the largest-magnitude component (lowest index on ties) is positive.
-    i = int(np.argmax(np.abs(vec)))
-    return -vec if vec[i] < 0.0 else vec
+    values: np.ndarray   # shape (r,)
+    vectors: np.ndarray  # shape (d, r)
 
 
 def sym_eig_top_r(c, r: int) -> EigenPairs:
     """The ``r`` eigenpairs of symmetric ``c`` with algebraically largest values.
 
+    ``c`` must be finite and symmetric; only its lower triangle is read.
     Ordering is by signed value, not magnitude: for indefinite matrices the
     trace-maximizing subspace takes the largest signed eigenvalues. Ties are
     broken by the solver's original (ascending) output order through a
-    stable sort, and each eigenvector's sign is canonicalized, so output is
+    stable sort, and each eigenvector is flipped so that its largest-
+    magnitude entry (lowest index on ties) is positive, so output is
     deterministic. Raises ``LinalgError`` if LAPACK fails to converge.
     """
-    c = as_matrix(c, "c")
-    n, m = c.shape
-    if n != m:
-        raise LinalgError(f"matrix must be square, got {n}x{m}")
-    scale = math.sqrt(float(np.sum(c * c)))
-    if float(np.max(np.abs(c - c.T), initial=0.0)) > _SYMMETRY_RTOL * scale:
-        raise LinalgError("matrix is not symmetric within tolerance")
-    if not 1 <= r <= n:
-        raise LinalgError(f"rank must satisfy 1 <= r <= {n}, got {r}")
-
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise LinalgError(f"matrix must be square, got shape {c.shape}")
+    if not 1 <= r <= c.shape[0]:
+        raise LinalgError(f"rank must satisfy 1 <= r <= {c.shape[0]}, got {r}")
     try:
-        values, vectors = np.linalg.eigh((c + c.T) * 0.5)
+        values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")[:r]
-    top_values = values[order].copy()
-    top_vectors = np.column_stack([_canonical_sign(vectors[:, j]) for j in order])
-    return EigenPairs(values=top_values, vectors=top_vectors)
+    top = vectors[:, order]
+    lead = top[np.argmax(np.abs(top), axis=0), np.arange(r)]
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    # C order: an F-ordered U changes C @ U in the last bit, and the reports with it
+    return EigenPairs(values[order], np.ascontiguousarray(top * flip))

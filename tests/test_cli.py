@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,19 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 2
         assert "long.csv:2: field larger than field limit" in capsys.readouterr().err
+
+    def test_overflowing_features(self, toy_csv, capsys):
+        # squares of 1e200 overflow float64: one error line, no numpy warnings
+        rng = np.random.default_rng(6)
+        path = toy_csv(1e200 * rng.standard_normal((5, 2)), list("aabbb"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--input", str(path), "--sensitive-col", "group",
+                           "--method", "cfpca", "--rank", "1") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fairdim: numeric error: second moments or their squares")
+        assert "overflow float64" in err
 
     def test_numeric_failure(self, s1_csv, monkeypatch, capsys):
         def boom(*args, **kwargs):

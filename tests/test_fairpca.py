@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +387,60 @@ class TestCFpca:
         # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
         # one per halving and one at the secant point
         assert calls["n"] == fit.iterations + 3
+
+
+class TestFullRank:
+    def test_full_rank_is_plain_pca(self, monkeypatch):
+        # at r = d plain PCA reconstructs every row exactly and all errors
+        # are round-off, so both searches must return it untouched
+        import fairdim.fairpca as fairpca_module
+
+        calls = []
+        real = fairpca_module.sym_eig_top_r
+        monkeypatch.setattr(
+            fairpca_module, "sym_eig_top_r", lambda *a: calls.append(1) or real(*a)
+        )
+        rng = np.random.default_rng(15)
+        for _ in range(400):
+            d = int(rng.integers(2, 5))
+            g = random_grouped(rng, int(rng.integers(3, 40)), int(rng.integers(3, 40)), d)
+            p = prepare(g, d)
+            pca = classical_pca(p, d)
+            for fit_fn in (u_fpca, c_fpca):
+                calls.clear()
+                fit = fit_fn(g, d)
+                assert (fit.alpha, fit.iterations, len(calls)) == (1.0, 0, 1)
+                assert np.array_equal(fit.u, pca.u)
+                assert fit.metrics == pca.metrics
+
+
+class TestNumericGate:
+    # 1e200 overflows the moments; 1e150 gives finite moments near 1e300,
+    # but the fairness (a squared error gap) would overflow
+    @pytest.mark.parametrize("scale", [1e200, 1e150])
+    def test_overflow_rejected(self, scale):
+        rng = np.random.default_rng(3)
+        g = grouped_from(scale * rng.standard_normal((8, 2)), list("aaaabbbb"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinalgError, match="overflow float64"):
+                prepare(g, 1)
+
+    def test_non_finite_rows_rejected(self):
+        g = random_grouped(np.random.default_rng(4), 5, 5, 3)
+        x = g.x.copy()
+        x[7, 1] = np.nan
+        bad = dataclasses.replace(g, x=x, x_b=x[5:])
+        with pytest.raises(LinalgError, match="overflow float64"):
+            prepare(bad, 1)
+
+    def test_large_features_accepted(self):
+        # 1e70 gives moments near 1e140 and fairness near 1e280: all finite
+        rng = np.random.default_rng(5)
+        g = grouped_from(1e70 * rng.standard_normal((8, 2)), list("aaaabbbb"))
+        for fit in (u_fpca(g, 1), c_fpca(g, 1)):
+            assert np.isfinite(list(dataclasses.astuple(fit.metrics))).all()
+            assert 0.0 <= fit.alpha <= 1.0
 
 
 class TestRoleAssignment:
