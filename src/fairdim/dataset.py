@@ -76,32 +76,47 @@ class RawTable:
 
 @dataclass(frozen=True)
 class GroupedData:
-    """Centered dataset with its two sensitive-group row partitions.
+    """Centered rows in file order, with a mask marking the first group's.
 
-    ``x_a``/``x_b`` hold the rows of ``x`` belonging to the first- and
-    second-seen group, in their original order. Which group is privileged
-    is decided later, against a fitted projection, never here.
+    ``in_a`` is True on the rows of ``label_a``, the first-seen group, and
+    False on those of ``label_b``. The rows are stored once: ``x_a``,
+    ``x_b`` and the counts are worked out from ``x`` and ``in_a`` on each
+    access. Which group is privileged is decided later, against a fitted
+    projection, never here.
     """
 
-    x: np.ndarray     # (n, d), centered
-    x_a: np.ndarray   # (n_a, d)
-    x_b: np.ndarray   # (n_b, d)
-    n: int
-    n_a: int
-    n_b: int
+    x: np.ndarray     # (n, d), centered, file order
+    in_a: np.ndarray  # (n,) bool, True on the rows of label_a
     label_a: str
     label_b: str
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1:
+        if self.in_a.dtype != bool or self.in_a.shape != self.x.shape[:1]:
+            raise DataError("one boolean group flag required per row")
+        if self.in_a.all() or not self.in_a.any():
             raise DataError("each group needs at least one row")
-        if self.n != self.n_a + self.n_b:
-            raise DataError("group sizes must sum to the total row count")
-        if self.x.shape != (self.n, self.x.shape[1]):
-            raise DataError("row count mismatch")
-        d = self.x.shape[1]
-        if self.x_a.shape != (self.n_a, d) or self.x_b.shape != (self.n_b, d):
-            raise DataError("group partitions must match the dataset width")
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def n_a(self) -> int:
+        return int(np.count_nonzero(self.in_a))
+
+    @property
+    def n_b(self) -> int:
+        return self.n - self.n_a
+
+    @property
+    def x_a(self) -> np.ndarray:
+        """The rows of ``label_a``, in file order (a fresh copy)."""
+        return self.x[self.in_a]
+
+    @property
+    def x_b(self) -> np.ndarray:
+        """The rows of ``label_b``, in file order (a fresh copy)."""
+        return self.x[~self.in_a]
 
 
 def load_table(path, sensitive_column: str) -> RawTable:
@@ -291,24 +306,23 @@ def write_table(table: RawTable, path) -> None:
             writer.writerow([float(v) for v in row] + [label])
 
 
+def _first_group(table: RawTable) -> tuple[np.ndarray, str, str]:
+    """A mask marking the rows of the first-seen group, and both labels."""
+    first, second = table.group_labels()
+    return np.array([lab == first for lab in table.labels]), first, second
+
+
 def balance(table: RawTable) -> RawTable:
     """Truncate each group to the smaller group's size.
 
     Keeps the first ``min(n_a, n_b)`` rows of each group in original file
     order; already-balanced input comes back unchanged.
     """
-    first, second = table.group_labels()
-    counts = {first: 0, second: 0}
-    for lab in table.labels:
-        counts[lab] += 1
-    n_min = min(counts.values())
-
-    keep: list[int] = []
-    taken = {first: 0, second: 0}
-    for i, lab in enumerate(table.labels):
-        if taken[lab] < n_min:
-            taken[lab] += 1
-            keep.append(i)
+    in_a, _, _ = _first_group(table)
+    n_a = int(np.count_nonzero(in_a))
+    # each row's 1-based position within its own group
+    position = np.where(in_a, np.cumsum(in_a), np.cumsum(~in_a))
+    keep = np.flatnonzero(position <= min(n_a, in_a.size - n_a))
     return RawTable(
         features=table.features[keep],
         labels=tuple(table.labels[i] for i in keep),
@@ -318,29 +332,15 @@ def balance(table: RawTable) -> RawTable:
 
 
 def center_and_split(table: RawTable) -> GroupedData:
-    """Subtract each column's global mean, then partition rows by group.
+    """Subtract each column's global mean, then mark each row's group.
 
     The mean is always taken over all rows of the (possibly balanced)
     table, not per group; balancing must therefore happen before this
     step, since dropping rows moves the mean.
     """
-    first, second = table.group_labels()
+    in_a, first, second = _first_group(table)
     x = table.features - table.features.mean(axis=0)
-    mask_a = np.array([lab == first for lab in table.labels])
-    x_a = x[mask_a]
-    x_b = x[~mask_a]
-    if x_a.shape[0] == 0 or x_b.shape[0] == 0:
-        raise DataError("both groups need at least one row")
-    grouped = GroupedData(
-        x=x,
-        x_a=x_a,
-        x_b=x_b,
-        n=x.shape[0],
-        n_a=x_a.shape[0],
-        n_b=x_b.shape[0],
-        label_a=first,
-        label_b=second,
-    )
+    grouped = GroupedData(x=x, in_a=in_a, label_a=first, label_b=second)
     # round-off in the mean and the subtraction grows with the column's
     # largest magnitude, so the bound scales with it
     scale = np.maximum(table.features.max(axis=0), -table.features.min(axis=0))

@@ -45,12 +45,7 @@ import numpy as np
 
 from .dataset import GroupedData
 from .linalg import LinalgError, scaled_gram, sym_eig_top_r
-from .metrics import (
-    GroupMetrics,
-    Moments,
-    identify_privileged,
-    moment_metrics,
-)
+from .metrics import GroupMetrics, Moments, moment_metrics
 
 __all__ = [
     "SearchConfig",
@@ -86,10 +81,10 @@ class SearchConfig:
 class FairFitResult:
     """A fitted projection with the trade-off weight that produced it.
 
-    ``budget`` is set only for the constrained method and holds the cap
-    both group errors were required to respect. ``privileged`` and
-    ``harmed`` name the groups in the roles the fit used (from plain PCA
-    at the same rank); ``metrics.err_a`` belongs to the privileged group.
+    ``privileged`` and ``harmed`` name the groups in the roles the fit
+    used (from plain PCA at the same rank); ``metrics.err_a`` belongs to
+    the privileged group. ``budget`` is set only for the constrained
+    method and holds the cap both group errors were required to respect.
     """
 
     method: str
@@ -97,9 +92,9 @@ class FairFitResult:
     u: np.ndarray
     metrics: GroupMetrics
     iterations: int
+    privileged: str
+    harmed: str
     budget: float | None = None
-    privileged: str | None = None
-    harmed: str | None = None
 
     def __post_init__(self):
         gram = self.u.T @ self.u
@@ -191,25 +186,32 @@ def weighted_covariance(m: Moments, alpha: float) -> np.ndarray:
     return alpha * m.c + (1.0 - alpha) * (m.c_b - m.c_a)
 
 
+def _plain(p: Prepared, r: int) -> tuple[FairFitResult, Moments]:
+    """Plain PCA at rank r, and the moments in the roles it sets.
+
+    The one place roles are decided: the moments come in first-seen
+    order and are swapped if that order gives a negative disparity. So
+    the group with the lower plain-PCA error is privileged, and the
+    first-seen group on an exact tie.
+    """
+    u = np.ascontiguousarray(p.pca_vectors[:, :r])
+    m = p.moments
+    privileged, harmed = p.labels
+    metrics = moment_metrics(m, u)
+    if metrics.disparity < 0.0:
+        m, privileged, harmed = m.swapped(), harmed, privileged
+        metrics = moment_metrics(m, u)
+    return FairFitResult(METHOD_PCA, 1.0, u, metrics, 0, privileged, harmed), m
+
+
 def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
     """Top-r eigenvectors of the plain covariance, with group metrics.
 
-    Roles for the disparity sign are assigned from this projection's own
-    per-group errors, so the reported disparity is never negative here.
-    ``data`` is the dataset, or its ``Prepared`` form to reuse.
+    Roles are assigned from this projection's own per-group errors, so
+    the reported disparity is never negative here. ``data`` is the
+    dataset, or its ``Prepared`` form to reuse.
     """
-    p = _prepared(data, r)
-    u = np.ascontiguousarray(p.pca_vectors[:, :r])
-    roles = identify_privileged(p.moments, p.labels, u)
-    return FairFitResult(
-        method=METHOD_PCA,
-        alpha=1.0,
-        u=u,
-        metrics=moment_metrics(roles.moments, u),
-        iterations=0,
-        privileged=roles.label_privileged,
-        harmed=roles.label_harmed,
-    )
+    return _plain(_prepared(data, r), r)[0]
 
 
 class _Point(NamedTuple):
@@ -219,11 +221,9 @@ class _Point(NamedTuple):
 
 
 def _prepare_search(data: GroupedData | Prepared, r: int):
-    # plain PCA has already assigned the roles: reorder the moments
-    # privileged-first to match, and its harmed error is the budget
-    p = _prepared(data, r)
-    pca = classical_pca(p, r)
-    m = p.moments if pca.privileged == p.labels[0] else p.moments.swapped()
+    # plain PCA sets the roles: its privileged-first moments drive every
+    # blend, and its harmed error is the budget
+    pca, m = _plain(_prepared(data, r), r)
 
     def evaluate(alpha: float) -> _Point:
         if alpha == 1.0:  # plain PCA itself: no second solve
@@ -283,8 +283,8 @@ def _fairest(points: list[_Point]) -> _Point:
 
 def _result(method, pca, best: _Point, halvings, budget=None) -> FairFitResult:
     return FairFitResult(
-        method, best.alpha, best.u, best.metrics, halvings, budget,
-        pca.privileged, pca.harmed,
+        method, best.alpha, best.u, best.metrics, halvings,
+        pca.privileged, pca.harmed, budget,
     )
 
 

@@ -10,6 +10,12 @@ measure in O(d^2 r), whatever the row count. Every measure depends on the
 projection only through the subspace it spans, so any orthonormal
 re-mixing of its columns leaves it unchanged.
 
+The measures take ``a`` to be the privileged group and ``b`` the harmed
+one. That is decided once per fit, and only in ``fairpca``: the moments
+arrive with the first-seen group as ``a`` and are swapped if plain PCA at
+the fit's rank gives a negative disparity. So the group with the lower
+plain-PCA error is privileged, and the first-seen group on an exact tie.
+
 ``avg_reconstruction_error_direct`` computes the same error from the rows
 and the explicit residual; it is the slow reference the tests hold the
 moment form to, and it validates the projection's orthonormality.
@@ -26,23 +32,11 @@ from .linalg import LinalgError, as_matrix
 __all__ = [
     "GroupMetrics",
     "Moments",
-    "PrivilegeAssignment",
     "avg_reconstruction_error_direct",
-    "identify_privileged",
     "moment_metrics",
 ]
 
 _PROJ_ORTHO_TOL = 1e-6
-
-
-def _check_projection(x: np.ndarray, u: np.ndarray) -> None:
-    if x.shape[1] != u.shape[0]:
-        raise LinalgError(
-            f"projection rows ({u.shape[0]}) must match data width ({x.shape[1]})"
-        )
-    gram = u.T @ u
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _PROJ_ORTHO_TOL:
-        raise LinalgError("projection columns are not orthonormal")
 
 
 def avg_reconstruction_error_direct(x, u) -> float:
@@ -50,7 +44,13 @@ def avg_reconstruction_error_direct(x, u) -> float:
     span(u), via the explicit residual; the slow reference form."""
     x = as_matrix(x, "x")
     u = as_matrix(u, "u")
-    _check_projection(x, u)
+    if x.shape[1] != u.shape[0]:
+        raise LinalgError(
+            f"projection rows ({u.shape[0]}) must match data width ({x.shape[1]})"
+        )
+    gram = u.T @ u
+    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _PROJ_ORTHO_TOL:
+        raise LinalgError("projection columns are not orthonormal")
     resid = x - x @ u @ u.T
     return float(np.sum(resid * resid)) / x.shape[0]
 
@@ -71,8 +71,9 @@ class Moments:
     """Second moments of a centered dataset and of its two groups.
 
     ``c`` is X'X/n, and ``c_a``/``c_b`` are the groups' X_k'X_k/n_k, each
-    with its trace. Which group is ``a`` is up to the builder: the first-
-    seen group in ``fairpca.prepare``, the privileged one once roles are set.
+    with its trace. ``fairpca.prepare`` builds them with the first-seen
+    group (``GroupedData.in_a``) as ``a``; plain PCA's fit swaps them once,
+    if at all, so that ``a`` is the privileged group for the whole fit.
     """
 
     c: np.ndarray
@@ -113,35 +114,3 @@ def moment_metrics(m: Moments, u: np.ndarray) -> GroupMetrics:
         disparity=gap,
         fairness=gap * gap,
     )
-
-
-@dataclass(frozen=True)
-class PrivilegeAssignment:
-    """Which group a baseline projection favors, frozen for a whole fit.
-
-    ``moments`` is the dataset's ``Moments`` reordered so that ``c_a``
-    belongs to the privileged group and ``c_b`` to the harmed one.
-    """
-
-    label_privileged: str
-    label_harmed: str
-    moments: Moments
-
-
-def identify_privileged(
-    moments: Moments, labels: tuple[str, str], u_pca
-) -> PrivilegeAssignment:
-    """Assign privileged/harmed roles from errors under the plain-PCA basis.
-
-    ``labels`` name ``moments``' groups ``a`` and ``b`` in that order. The
-    group with the lower average reconstruction error is privileged; on an
-    exact tie group ``a`` takes that role.
-    """
-    u_pca = as_matrix(u_pca, "u_pca")
-    _check_projection(moments.c, u_pca)
-    label_a, label_b = labels
-    if _moment_err(moments.c_a, moments.tr_a, u_pca) <= _moment_err(
-        moments.c_b, moments.tr_b, u_pca
-    ):
-        return PrivilegeAssignment(label_a, label_b, moments)
-    return PrivilegeAssignment(label_b, label_a, moments.swapped())

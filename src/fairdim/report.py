@@ -152,9 +152,9 @@ def _row_record(report: SweepReport, row: SweepRow) -> dict:
 def fit_record(fit: FairFitResult) -> dict:
     """JSON-ready record for a single fit; the projection rides along so
     the output is directly usable for transforming new data. The group
-    role labels close the record when the fit carries them."""
+    role labels close the record."""
     m = fit.metrics
-    record = {
+    return {
         "method": fit.method,
         "rank": int(fit.u.shape[1]),
         "alpha": float(fit.alpha),
@@ -166,11 +166,9 @@ def fit_record(fit: FairFitResult) -> dict:
         "iterations": int(fit.iterations),
         "budget": None if fit.budget is None else float(fit.budget),
         "projection": [[float(v) for v in row] for row in fit.u],
+        "privileged": fit.privileged,
+        "harmed": fit.harmed,
     }
-    if fit.privileged is not None:
-        record["privileged"] = fit.privileged
-        record["harmed"] = fit.harmed
-    return record
 
 
 def write_report_jsonl(report: SweepReport, fh) -> None:

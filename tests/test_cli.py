@@ -369,15 +369,15 @@ class TestSharedWork:
         from fairdim.dataset import load_grouped
         from fairdim.metrics import avg_reconstruction_error_direct
 
+        # every plain-PCA fit, alone or inside a search, goes through _plain
         calls = []
-        real = fairpca_module.classical_pca
+        real = fairpca_module._plain
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(p, r):
+            calls.append(r)
+            return real(p, r)
 
-        monkeypatch.setattr(report, "classical_pca", counting)
-        monkeypatch.setattr(fairpca_module, "classical_pca", counting)
+        monkeypatch.setattr(fairpca_module, "_plain", counting)
         assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
                        "--method", "ufpca", "--rank", "2") == 0
         record = json.loads(capsys.readouterr().out)

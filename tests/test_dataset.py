@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fairdim.dataset as dataset_module
 from fairdim.dataset import (
     DataError,
+    GroupedData,
     balance,
     center_and_split,
     load_grouped,
@@ -277,6 +279,72 @@ class TestBalance:
             table = make_table(rng.standard_normal((len(labels), 3)), labels)
             out = balance(table)
             assert out.labels.count("a") == out.labels.count("b")
+
+
+def balance_oracle(labels):
+    """Row indices ``balance`` keeps, by plain loops: the first
+    min(n_a, n_b) rows of each group, in file order."""
+    counts = {}
+    for lab in labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    n_min = min(counts.values())
+    keep, taken = [], {}
+    for i, lab in enumerate(labels):
+        if taken.get(lab, 0) < n_min:
+            taken[lab] = taken.get(lab, 0) + 1
+            keep.append(i)
+    return keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_small=st.integers(1, 8),
+    ratio=st.integers(1, 14),
+    small_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_small=3, ratio=14, small_first=True, seed=0)
+@example(n_small=3, ratio=14, small_first=False, seed=0)
+def test_balance_matches_loop_oracle(n_small, ratio, small_first, seed):
+    rng = np.random.default_rng(seed)
+    labels = ["big"] * (n_small * ratio) + ["small"] * n_small
+    rng.shuffle(labels)
+    # the chosen group's first row moves to the top of the file
+    j = labels.index("small" if small_first else "big")
+    labels[0], labels[j] = labels[j], labels[0]
+    table = make_table(rng.standard_normal((len(labels), 3)), labels)
+    keep = balance_oracle(labels)
+    out = balance(table)
+    assert out.features.tobytes() == table.features[keep].tobytes()
+    assert out.labels == tuple(labels[i] for i in keep)
+    assert out.labels.count("big") == out.labels.count("small") == n_small
+
+
+class TestGroupedData:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(GroupedData)]
+        assert names == ["x", "in_a", "label_a", "label_b"]
+
+    @pytest.mark.parametrize(
+        "flags", [[True, False], [True, False, True, False], [1, 0, 1]]
+    )
+    def test_rejects_flags_not_one_bool_per_row(self, flags):
+        with pytest.raises(DataError, match="one boolean group flag"):
+            GroupedData(np.zeros((3, 2)), np.array(flags), "a", "b")
+
+    @pytest.mark.parametrize("flags", [[True] * 3, [False] * 3])
+    def test_rejects_empty_group(self, flags):
+        with pytest.raises(DataError, match="at least one row"):
+            GroupedData(np.zeros((3, 2)), np.array(flags), "a", "b")
+
+    def test_groups_are_masked_rows_in_file_order(self):
+        labels = list("baabbaba")  # the first-seen group is "b"
+        g = center_and_split(make_table(np.arange(16.0).reshape(8, 2), labels))
+        assert (g.label_a, g.label_b) == ("b", "a")
+        assert g.in_a.tolist() == [lab == "b" for lab in labels]
+        assert g.x_a.tobytes() == g.x[g.in_a].tobytes() == g.x[[0, 3, 4, 6]].tobytes()
+        assert g.x_b.tobytes() == g.x[~g.in_a].tobytes() == g.x[[1, 2, 5, 7]].tobytes()
+        assert (g.n, g.n_a, g.n_b) == (8, 4, 4)
 
 
 class TestCenterAndSplit:

@@ -19,12 +19,7 @@ from fairdim.fairpca import (
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
-from fairdim.metrics import (
-    Moments,
-    avg_reconstruction_error_direct,
-    identify_privileged,
-    moment_metrics,
-)
+from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
 
 from conftest import make_table, random_grouped
 
@@ -53,6 +48,12 @@ HAND_MOMENTS = Moments(
     c_a=scaled_gram(HAND_ROWS[0], 1),
     c_b=scaled_gram(HAND_ROWS[1], 1),
 )
+
+
+def privileged_first(p, r):
+    """``p``'s moments in the roles plain PCA sets at rank r."""
+    pca = classical_pca(p, r)
+    return p.moments if pca.privileged == p.labels[0] else p.moments.swapped()
 
 
 def fair_projection(m, alpha, r):
@@ -203,7 +204,7 @@ class TestDisparityMonotone:
         # full eigenbases on the grid per role order; rank r takes r columns
         bases = {}
         for r in range(1, d + 1):
-            m = identify_privileged(p.moments, p.labels, p.pca_vectors[:, :r]).moments
+            m = privileged_first(p, r)
             key = m.c_a is p.moments.c_a
             if key not in bases:
                 bases[key] = [fair_projection(m, a, d) for a in np.linspace(0, 1, 201)]
@@ -361,7 +362,7 @@ class TestCFpca:
             assert max(fit.metrics.err_a, fit.metrics.err_b) <= fit.budget
             assert fit.alpha > root.alpha
             p = prepare(g, r)
-            m = identify_privileged(p.moments, p.labels, p.pca_vectors).moments
+            m = privileged_first(p, r)
             grid = [
                 moment_metrics(m, fair_projection(m, a, r))
                 for a in np.linspace(0.0, 1.0, 1001)
@@ -430,7 +431,7 @@ class TestNumericGate:
         g = random_grouped(np.random.default_rng(4), 5, 5, 3)
         x = g.x.copy()
         x[7, 1] = np.nan
-        bad = dataclasses.replace(g, x=x, x_b=x[5:])
+        bad = dataclasses.replace(g, x=x)
         with pytest.raises(LinalgError, match="overflow float64"):
             prepare(bad, 1)
 
@@ -443,6 +444,37 @@ class TestNumericGate:
             assert 0.0 <= fit.alpha <= 1.0
 
 
+class TestPlainPcaRoles:
+    # group a spreads along x, group b along y; the wider spread leads
+    @staticmethod
+    def fit(a_scale, b_scale):
+        rows = [[a_scale, 0.0], [-a_scale, 0.0], [0.0, b_scale], [0.0, -b_scale]]
+        return classical_pca(grouped_from(rows, list("aabb")), 1)
+
+    def test_first_group_favored(self):
+        pca = self.fit(2.0, 1.0)  # plain PCA keeps x: group a exactly
+        assert (pca.privileged, pca.harmed) == ("a", "b")
+        assert pca.metrics.err_a == 0.0
+        assert pca.metrics.err_b == pytest.approx(1.0)  # rows (0, ±1) lost
+        assert pca.metrics.disparity == pytest.approx(1.0)
+
+    def test_second_group_favored(self):
+        pca = self.fit(1.0, 2.0)  # plain PCA keeps y: group b exactly
+        assert (pca.privileged, pca.harmed) == ("b", "a")
+        assert pca.metrics.err_a == 0.0
+        assert pca.metrics.err_b == pytest.approx(1.0)
+        assert pca.metrics.disparity == pytest.approx(1.0)
+
+    def test_tie_goes_to_first_group(self):
+        # both groups hold the same rows, so their errors tie exactly
+        rows = [[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        for labels in ("ab" * 4, "ba" * 4):
+            g = grouped_from([row for row in rows for _ in "ab"], list(labels))
+            pca = classical_pca(g, 1)
+            assert pca.metrics.err_a == pca.metrics.err_b == 0.5
+            assert (pca.privileged, pca.harmed) == (labels[0], labels[1])
+
+
 class TestRoleAssignment:
     @pytest.mark.parametrize("fit_fn", [u_fpca, c_fpca], ids=["ufpca", "cfpca"])
     @pytest.mark.parametrize("first_seen", ["a", "b"])
@@ -452,24 +484,21 @@ class TestRoleAssignment:
         g = random_grouped(np.random.default_rng(41), 40, 25, 5)
         if first_seen == "b":
             g = grouped_from(np.vstack([g.x_b, g.x_a]), ["b"] * 25 + ["a"] * 40)
-        real = fairpca_module.identify_privileged
+        real = fairpca_module._plain
         calls = []
         monkeypatch.setattr(
-            fairpca_module,
-            "identify_privileged",
-            lambda *args: calls.append(1) or real(*args),
+            fairpca_module, "_plain", lambda *args: calls.append(1) or real(*args)
         )
         fit = fit_fn(g, 2)
         assert len(calls) == 1
 
-        # the same roles, budget and metric order as a fresh assignment
+        # the same roles, budget and metric order as plain PCA's
         p = prepare(g, 2)
-        roles = real(p.moments, p.labels, p.pca_vectors)
-        assert (fit.privileged, fit.harmed) == (roles.label_privileged, roles.label_harmed)
+        pca = classical_pca(p, 2)
+        assert (fit.privileged, fit.harmed) == (pca.privileged, pca.harmed)
         if fit_fn is c_fpca:
-            assert fit.budget == moment_metrics(roles.moments, p.pca_vectors).err_b
-        again = moment_metrics(roles.moments, fit.u)
-        assert again == fit.metrics
+            assert fit.budget == pca.metrics.err_b
+        assert moment_metrics(privileged_first(p, 2), fit.u) == fit.metrics
 
 
 class TestFairFitResultValidation:
@@ -479,7 +508,10 @@ class TestFairFitResultValidation:
 
         m = GroupMetrics(1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="budget"):
-            FairFitResult(method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1)
+            FairFitResult(
+                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
+                privileged="a", harmed="b",
+            )
 
     def test_constrained_rejects_budget_violation(self):
         u = np.array([[1.0], [0.0]])
@@ -488,7 +520,8 @@ class TestFairFitResultValidation:
         m = GroupMetrics(1.0, 2.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="budget"):
             FairFitResult(
-                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1, budget=1.0
+                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
+                privileged="a", harmed="b", budget=1.0,
             )
 
     def test_rejects_skewed_projection(self):
@@ -497,5 +530,6 @@ class TestFairFitResultValidation:
         m = GroupMetrics(1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(LinalgError):
             FairFitResult(
-                method="pca", alpha=1.0, u=np.ones((2, 1)), metrics=m, iterations=0
+                method="pca", alpha=1.0, u=np.ones((2, 1)), metrics=m, iterations=0,
+                privileged="a", harmed="b",
             )

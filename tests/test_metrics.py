@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from fairdim.linalg import LinalgError, scaled_gram
-from fairdim.metrics import (
-    Moments,
-    avg_reconstruction_error_direct,
-    identify_privileged,
-    moment_metrics,
-)
+from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
 from fairdim.fairpca import classical_pca, prepare
 
 from conftest import make_table, rand_orthonormal, random_grouped
@@ -109,36 +104,6 @@ class TestFairnessMeasure:
         m = moments_of(rng.standard_normal((6, 3)), rng.standard_normal((4, 3)))
         u = rand_orthonormal(rng, 3, 2)
         assert moment_metrics(m, u).fairness == moment_metrics(m.swapped(), u).fairness
-
-
-class TestIdentifyPrivileged:
-    def test_first_group_favored(self):
-        g = center_and_split(
-            make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
-        )
-        u = np.array([[1.0], [0.0]])  # keeps group a perfectly
-        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
-        assert roles.label_privileged == "a"
-        assert roles.label_harmed == "b"
-        # harmed rows (0,±2) lost entirely
-        assert moment_metrics(roles.moments, u).err_b == pytest.approx(4.0)
-
-    def test_second_group_favored(self):
-        g = center_and_split(
-            make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], list("aabb"))
-        )
-        u = np.array([[0.0], [1.0]])
-        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
-        assert roles.label_privileged == "b"
-        assert moment_metrics(roles.moments, u).err_b == pytest.approx(1.0)
-
-    def test_tie_goes_to_first_group(self):
-        g = center_and_split(
-            make_table([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], list("aabb"))
-        )
-        u = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)]])  # symmetric: both err 0.5
-        roles = identify_privileged(prepare(g, 1).moments, ("a", "b"), u)
-        assert roles.label_privileged == "a"
 
 
 class TestMetricProperties:
