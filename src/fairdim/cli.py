@@ -101,16 +101,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
+def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
+    """Refuse an output path that is ``--input``, load the groups, check
+    ``rank`` against their width and build the search config."""
+    for out in outputs:
+        if out.exists() and out.samefile(args.input):
+            raise _UsageError(f"output {out} would overwrite --input {args.input}")
     g = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
-    if args.rank > g.x.shape[1]:
-        raise _UsageError(f"--rank {args.rank} exceeds feature count {g.x.shape[1]}")
-    fit, runtime_ms = fit_one(g, args.rank, args.method, SearchConfig(tol=args.tol))
+    if rank > g.x.shape[1]:
+        raise _UsageError(f"{flag} {rank} exceeds feature count {g.x.shape[1]}")
+    return g, SearchConfig(tol=args.tol)
+
+
+def _log_fit(dataset_id: str, method: str, r: int, runtime_ms: int) -> None:
     print(
-        f"fit dataset={args.input.stem} method={args.method} r={args.rank} "
-        f"runtime_ms={runtime_ms}",
+        f"fit dataset={dataset_id} method={method} r={r} runtime_ms={runtime_ms}",
         file=sys.stderr,
     )
+
+
+def _cmd_fit(args) -> int:
+    outputs = () if args.output is None else (args.output,)
+    g, config = _setup(args, args.rank, "--rank", outputs)
+    fit, runtime_ms = fit_one(g, args.rank, args.method, config)
+    _log_fit(args.input.stem, args.method, args.rank, runtime_ms)
 
     text = json.dumps(fit_record(fit)) + "\n"
     if args.output is not None:
@@ -121,35 +135,22 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    g = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
-    if args.max_rank > g.x.shape[1]:
-        raise _UsageError(
-            f"--max-rank {args.max_rank} exceeds feature count {g.x.shape[1]}"
-        )
-    report = run_sweep(
-        g,
-        args.max_rank,
-        SearchConfig(tol=args.tol),
-        dataset_id=args.input.stem,
-        balanced=args.balanced,
-    )
-    for row in report.rows:
-        print(
-            f"fit dataset={report.dataset_id} method={row.method} r={row.r} "
-            f"runtime_ms={row.runtime_ms}",
-            file=sys.stderr,
-        )
+    outputs = ()
     if args.output is not None:
         # strip only a final .jsonl: report.v2.jsonl keeps its .v2
         stem = args.output.name.removesuffix(".jsonl")
-        jsonl_path = args.output.with_name(stem + ".jsonl")
-        csv_path = args.output.with_name(stem + ".csv")
-        with jsonl_path.open("w", encoding="utf-8") as fh:
-            write_report_jsonl(report, fh)
-        with csv_path.open("w", encoding="utf-8") as fh:
-            write_report_csv(report, fh)
-    else:
+        outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
+    g, config = _setup(args, args.max_rank, "--max-rank", outputs)
+    report = run_sweep(
+        g, args.max_rank, config, dataset_id=args.input.stem, balanced=args.balanced
+    )
+    for row, runtime_ms in zip(report.rows, report.runtime_ms):
+        _log_fit(report.dataset_id, row["method"], row["r"], runtime_ms)
+    if not outputs:
         write_report_jsonl(report, sys.stdout)
+    for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
+        with path.open("w", encoding="utf-8") as fh:
+            write(report, fh)
     return EXIT_OK
 
 

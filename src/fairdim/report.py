@@ -1,18 +1,22 @@
 """Rank-sweep experiment harness and its serialized report formats.
 
 A sweep fits every method at every rank from 1 to a maximum and collects
-one row per (rank, method) cell. Reports are written both as
-line-delimited JSON (one self-contained record per line) and as a CSV
-table with the same field order. Wall-clock timings are collected per fit
-but deliberately kept out of both files so that repeated runs on the same
-input are byte-identical; they go to the timing log instead.
+one row per (rank, method) cell. A row is the dict that is written:
+``r``, ``method`` and ``alpha`` followed by the ``GroupMetrics`` measures
+in their declared order, so ``ROW_FIELDS`` is the only list of its keys.
+Reports are written both as line-delimited JSON (one self-contained
+record per line) and as a CSV table with the same field order, each row
+led by the report's ``dataset_id`` and ``balanced``. Wall-clock timings
+are collected per fit but deliberately kept out of both files so that
+repeated runs on the same input are byte-identical; they go to the
+timing log instead.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -26,10 +30,11 @@ from .fairpca import (
     prepare,
     u_fpca,
 )
+from .metrics import GroupMetrics
 
 __all__ = [
     "METHODS",
-    "SweepRow",
+    "ROW_FIELDS",
     "SweepReport",
     "fit_one",
     "run_sweep",
@@ -41,37 +46,21 @@ __all__ = [
 ]
 
 METHODS = ("pca", "ufpca", "cfpca")
-
-_ROW_FIELDS = (
-    "r",
-    "method",
-    "alpha",
-    "overall_err",
-    "err_a",
-    "err_b",
-    "disparity",
-    "fairness",
-)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    r: int
-    method: str
-    alpha: float
-    overall_err: float
-    err_a: float
-    err_b: float
-    disparity: float
-    fairness: float
-    runtime_ms: int = 0  # measured per fit; never serialized into reports
+ROW_FIELDS = ("r", "method", "alpha", *(f.name for f in fields(GroupMetrics)))
+_CAST = {"r": int, "method": str}  # every other row field is a float
 
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The rows of one sweep, each a dict keyed by ``ROW_FIELDS``, plus
+    what every written record repeats. ``runtime_ms`` holds each row's
+    fit time, in row order, for the timing log; it is never serialized
+    and is empty for a report read back from a file."""
+
     dataset_id: str
     balanced: bool
-    rows: tuple[SweepRow, ...]
+    rows: tuple[dict, ...]
+    runtime_ms: tuple[int, ...] = ()
 
 
 def fit_one(
@@ -95,21 +84,6 @@ def fit_one(
     return fit, int(round((perf_counter() - start) * 1000.0))
 
 
-def _sweep_row(fit: FairFitResult, runtime_ms: int) -> SweepRow:
-    m = fit.metrics
-    return SweepRow(
-        r=int(fit.u.shape[1]),
-        method=fit.method,
-        alpha=float(fit.alpha),
-        overall_err=m.overall_err,
-        err_a=m.err_a,
-        err_b=m.err_b,
-        disparity=m.disparity,
-        fairness=m.fairness,
-        runtime_ms=runtime_ms,
-    )
-
-
 def run_sweep(
     g: GroupedData,
     max_rank: int,
@@ -124,45 +98,32 @@ def run_sweep(
     reuses them.
     """
     p = prepare(g, max_rank)
-    rows = [
-        _sweep_row(*fit_one(p, r, method, config))
+    cells = [
+        fit_one(p, r, method, config)
         for r in range(1, max_rank + 1)
         for method in METHODS
     ]
-    return SweepReport(dataset_id=dataset_id, balanced=balanced, rows=tuple(rows))
-
-
-def _row_record(report: SweepReport, row: SweepRow) -> dict:
-    record = {"dataset_id": report.dataset_id, "balanced": report.balanced}
-    record.update(
+    rows = tuple(
         {
-            "r": int(row.r),
-            "method": row.method,
-            "alpha": float(row.alpha),
-            "overall_err": float(row.overall_err),
-            "err_a": float(row.err_a),
-            "err_b": float(row.err_b),
-            "disparity": float(row.disparity),
-            "fairness": float(row.fairness),
+            "r": int(fit.u.shape[1]),
+            "method": fit.method,
+            "alpha": float(fit.alpha),
+            **asdict(fit.metrics),
         }
+        for fit, _ in cells
     )
-    return record
+    return SweepReport(dataset_id, balanced, rows, tuple(ms for _, ms in cells))
 
 
 def fit_record(fit: FairFitResult) -> dict:
     """JSON-ready record for a single fit; the projection rides along so
     the output is directly usable for transforming new data. The group
     role labels close the record."""
-    m = fit.metrics
     return {
         "method": fit.method,
         "rank": int(fit.u.shape[1]),
         "alpha": float(fit.alpha),
-        "overall_err": m.overall_err,
-        "err_a": m.err_a,
-        "err_b": m.err_b,
-        "disparity": m.disparity,
-        "fairness": m.fairness,
+        **asdict(fit.metrics),
         "iterations": int(fit.iterations),
         "budget": None if fit.budget is None else float(fit.budget),
         "projection": [[float(v) for v in row] for row in fit.u],
@@ -171,20 +132,22 @@ def fit_record(fit: FairFitResult) -> dict:
     }
 
 
-def write_report_jsonl(report: SweepReport, fh) -> None:
+def _records(report: SweepReport):
     for row in report.rows:
-        fh.write(json.dumps(_row_record(report, row), separators=(",", ":")))
+        yield {"dataset_id": report.dataset_id, "balanced": report.balanced, **row}
+
+
+def write_report_jsonl(report: SweepReport, fh) -> None:
+    for record in _records(report):
+        fh.write(json.dumps(record, separators=(",", ":")))
         fh.write("\n")
 
 
 def write_report_csv(report: SweepReport, fh) -> None:
     """CSV table of the report; a field is quoted only when it has to be."""
-    columns = ("dataset_id", "balanced", *_ROW_FIELDS)
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    for row in report.rows:
-        rec = _row_record(report, row)
-        writer.writerow(rec[k] for k in columns)
+    writer.writerow(("dataset_id", "balanced", *ROW_FIELDS))
+    writer.writerows(record.values() for record in _records(report))
 
 
 def read_report_jsonl(path) -> SweepReport:
@@ -210,61 +173,38 @@ def read_report_jsonl(path) -> SweepReport:
         try:
             if rec["method"] not in METHODS:
                 raise DataError(f"{path}:{lineno}: unknown method {rec['method']!r}")
-            row = SweepRow(
-                r=int(rec["r"]),
-                method=rec["method"],
-                alpha=float(rec["alpha"]),
-                overall_err=float(rec["overall_err"]),
-                err_a=float(rec["err_a"]),
-                err_b=float(rec["err_b"]),
-                disparity=float(rec["disparity"]),
-                fairness=float(rec["fairness"]),
-            )
+            rows.append({k: _CAST.get(k, float)(rec[k]) for k in ROW_FIELDS})
             dataset_id = str(rec["dataset_id"])
             balanced = bool(rec["balanced"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: malformed report line: {exc}") from exc
-        rows.append(row)
-    return SweepReport(dataset_id=dataset_id, balanced=balanced, rows=tuple(rows))
-
-
-def _sorted_rows(report: SweepReport) -> list[SweepRow]:
-    return sorted(report.rows, key=lambda row: (row.r, METHODS.index(row.method)))
+    return SweepReport(dataset_id, balanced, tuple(rows))
 
 
 def write_plot_series(report: SweepReport, out_dir) -> list[Path]:
     """Emit plot-ready CSV series from a report.
 
     One file per figure panel family: overall error vs rank, fairness vs
-    rank, and per-method group errors vs rank.
+    rank, and per-method group errors vs rank (only for methods present).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _sorted_rows(report)
-    written = []
-
-    overall = out_dir / "overall_error_vs_rank.csv"
-    with overall.open("w", encoding="utf-8") as fh:
-        fh.write("r,method,overall_err\n")
-        for row in rows:
-            fh.write(f"{row.r},{row.method},{row.overall_err}\n")
-    written.append(overall)
-
-    fairness = out_dir / "fairness_vs_rank.csv"
-    with fairness.open("w", encoding="utf-8") as fh:
-        fh.write("r,method,fairness\n")
-        for row in rows:
-            fh.write(f"{row.r},{row.method},{row.fairness}\n")
-    written.append(fairness)
-
+    rows = sorted(report.rows, key=lambda row: (row["r"], METHODS.index(row["method"])))
+    panels = [
+        ("overall_error_vs_rank", ("r", "method", "overall_err"), rows),
+        ("fairness_vs_rank", ("r", "method", "fairness"), rows),
+    ]
     for method in METHODS:
-        method_rows = [row for row in rows if row.method == method]
-        if not method_rows:
-            continue
-        series = out_dir / f"group_errors_{method}.csv"
+        method_rows = [row for row in rows if row["method"] == method]
+        if method_rows:
+            panels.append((f"group_errors_{method}", ("r", "err_a", "err_b"), method_rows))
+
+    written = []
+    for name, columns, panel_rows in panels:
+        series = out_dir / f"{name}.csv"
         with series.open("w", encoding="utf-8") as fh:
-            fh.write("r,err_a,err_b\n")
-            for row in method_rows:
-                fh.write(f"{row.r},{row.err_a},{row.err_b}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in panel_rows:
+                fh.write(",".join(str(row[k]) for k in columns) + "\n")
         written.append(series)
     return written

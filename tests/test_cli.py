@@ -143,10 +143,10 @@ class TestSweep:
         seen = set()
         per_method = {}
         for row in report.rows:
-            assert (row.r, row.method) not in seen
-            seen.add((row.r, row.method))
-            per_method.setdefault(row.method, []).append(row.r)
-            assert row.fairness == pytest.approx(row.disparity**2, rel=1e-12, abs=1e-300)
+            assert (row["r"], row["method"]) not in seen
+            seen.add((row["r"], row["method"]))
+            per_method.setdefault(row["method"], []).append(row["r"])
+            assert row["fairness"] == pytest.approx(row["disparity"]**2, rel=1e-12, abs=1e-300)
         for ranks in per_method.values():
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
@@ -195,8 +195,8 @@ class TestSweep:
         expected = run_sweep(g, 2, SearchConfig(), "toy", True)
         for rec, row in zip(rows, expected.rows):
             assert rec["balanced"] is True
-            assert rec["overall_err"] == row.overall_err
-            assert rec["fairness"] == row.fairness
+            assert rec["overall_err"] == row["overall_err"]
+            assert rec["fairness"] == row["fairness"]
 
 
 class TestDeterminism:
@@ -210,6 +210,80 @@ class TestDeterminism:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+class TestOutputOverInput:
+    """An output path that is --input (by name, symlink or hard link) is
+    refused with exit 1 before anything is written."""
+
+    @pytest.fixture(params=["same", "symlink", "hardlink"])
+    def input_alias(self, request, s1_csv):
+        if request.param == "same":
+            return s1_csv
+        alias = s1_csv.with_name("alias.csv")
+        if request.param == "symlink":
+            alias.symlink_to(s1_csv)
+        else:
+            alias.hardlink_to(s1_csv)
+        return alias
+
+    def test_sweep_csv_over_input(self, input_alias, s1_csv, capsys):
+        before = s1_csv.read_bytes()
+        assert run_cli(
+            "sweep", "--input", str(input_alias), "--sensitive-col", "group",
+            "--max-rank", "1", "--output", str(s1_csv.with_name("s1.jsonl")),
+        ) == 1
+        assert "would overwrite --input" in capsys.readouterr().err
+        assert s1_csv.read_bytes() == before
+        assert not s1_csv.with_name("s1.jsonl").exists()
+
+    def test_sweep_jsonl_over_input(self, tmp_path, s1_csv, capsys):
+        table = tmp_path / "t.jsonl"
+        table.write_bytes(s1_csv.read_bytes())
+        assert run_cli(
+            "sweep", "--input", str(table), "--sensitive-col", "group",
+            "--max-rank", "1", "--output", str(table),
+        ) == 1
+        assert "would overwrite --input" in capsys.readouterr().err
+        assert table.read_bytes() == s1_csv.read_bytes()
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_fit_output_over_input(self, input_alias, s1_csv, capsys):
+        before = s1_csv.read_bytes()
+        assert run_cli(
+            "fit", "--input", str(input_alias), "--sensitive-col", "group",
+            "--method", "pca", "--rank", "1", "--output", str(s1_csv),
+        ) == 1
+        assert "would overwrite --input" in capsys.readouterr().err
+        assert s1_csv.read_bytes() == before
+
+
+class TestReportContract:
+    """The file layouts are derived from ``GroupMetrics``; these literals
+    make a reordering of its fields fail here instead of changing bytes."""
+
+    SWEEP_KEYS = ("dataset_id", "balanced", "r", "method", "alpha",
+                  "overall_err", "err_a", "err_b", "disparity", "fairness")
+    FIT_KEYS = ("method", "rank", "alpha", "overall_err", "err_a", "err_b",
+                "disparity", "fairness", "iterations", "budget", "projection",
+                "privileged", "harmed")
+
+    def test_sweep_keys_and_csv_header(self, s1_csv, tmp_path):
+        out = tmp_path / "report.jsonl"
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "2", "--output", str(out)) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            assert tuple(json.loads(line)) == self.SWEEP_KEYS
+        with (tmp_path / "report.csv").open(newline="", encoding="utf-8") as fh:
+            assert tuple(next(csv.reader(fh))) == self.SWEEP_KEYS
+        assert ("dataset_id", "balanced", *report.ROW_FIELDS) == self.SWEEP_KEYS
+
+    def test_fit_record_keys(self, s1_csv, capsys):
+        assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--method", "cfpca", "--rank", "1") == 0
+        assert tuple(json.loads(capsys.readouterr().out)) == self.FIT_KEYS
 
 
 class TestPlotdata:
@@ -277,6 +351,34 @@ class TestPlotdata:
         assert run_cli("plotdata", "--report", str(report), "--out-dir", str(plots)) == 2
         assert "malformed" in capsys.readouterr().err
 
+    GOOD = {"dataset_id": "s1", "balanced": False, "r": 1, "method": "pca",
+            "alpha": 1.0, "overall_err": 0.5, "err_a": 0.25, "err_b": 0.75,
+            "disparity": 0.5, "fairness": 0.25}
+
+    def plot(self, tmp_path, record):
+        path = tmp_path / "report.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return run_cli("plotdata", "--report", str(path), "--out-dir", str(tmp_path / "plots"))
+
+    def test_well_formed_record_reads(self, tmp_path):
+        assert self.plot(tmp_path, self.GOOD) == 0
+        assert (tmp_path / "plots" / "group_errors_pca.csv").read_text() == "r,err_a,err_b\n1,0.25,0.75\n"
+
+    @pytest.mark.parametrize("key", report.ROW_FIELDS)
+    def test_missing_field(self, key, tmp_path, capsys):
+        record = {k: v for k, v in self.GOOD.items() if k != key}
+        assert self.plot(tmp_path, record) == 2
+        assert "malformed" in capsys.readouterr().err
+
+    def test_non_numeric_alpha(self, tmp_path, capsys):
+        assert self.plot(tmp_path, {**self.GOOD, "alpha": "high"}) == 2
+        assert "malformed" in capsys.readouterr().err
+
+    def test_unknown_method(self, tmp_path, capsys):
+        assert self.plot(tmp_path, {**self.GOOD, "method": "lda"}) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and "unknown method 'lda'" in err
+
 
 class TestExitCodes:
     def test_bad_flags(self, s1_csv):
@@ -289,6 +391,9 @@ class TestExitCodes:
     def test_rank_exceeding_width(self, s1_csv, capsys):
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "5") == 1
+        assert "exceeds feature count" in capsys.readouterr().err
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "5") == 1
         assert "exceeds feature count" in capsys.readouterr().err
 
     def test_data_errors(self, tmp_path, s1_csv):
