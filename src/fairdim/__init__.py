@@ -3,14 +3,15 @@ the error gap between two sensitive groups."""
 
 from .dataset import DataError, GroupedData, RawTable, balance, center_and_split, load_grouped, load_table
 from .linalg import LinalgError
-from .metrics import GroupMetrics, Moments, avg_reconstruction_error_direct, moment_metrics
+from .metrics import GroupMetrics, Moments, moment_metrics
 from .fairpca import (
     FairFitResult,
     Prepared,
-    SearchConfig,
+    Search,
     c_fpca,
     classical_pca,
     prepare,
+    search,
     u_fpca,
     weighted_covariance,
 )

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .dataset import DataError, load_grouped, write_table
-from .fairpca import SearchConfig
+from .fairpca import search
 from .linalg import LinalgError
 from .report import (
     METHODS,
@@ -102,15 +102,15 @@ def _cmd_gen(args) -> int:
 
 
 def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
-    """Refuse an output path that is ``--input``, load the groups, check
-    ``rank`` against their width and build the search config."""
+    """Refuse an output path that is ``--input``, load the groups and check
+    ``rank`` against their width."""
     for out in outputs:
         if out.exists() and out.samefile(args.input):
             raise _UsageError(f"output {out} would overwrite --input {args.input}")
     g = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     if rank > g.x.shape[1]:
         raise _UsageError(f"{flag} {rank} exceeds feature count {g.x.shape[1]}")
-    return g, SearchConfig(tol=args.tol)
+    return g
 
 
 def _log_fit(dataset_id: str, method: str, r: int, runtime_ms: int) -> None:
@@ -122,8 +122,8 @@ def _log_fit(dataset_id: str, method: str, r: int, runtime_ms: int) -> None:
 
 def _cmd_fit(args) -> int:
     outputs = () if args.output is None else (args.output,)
-    g, config = _setup(args, args.rank, "--rank", outputs)
-    fit, runtime_ms = fit_one(g, args.rank, args.method, config)
+    g = _setup(args, args.rank, "--rank", outputs)
+    fit, runtime_ms = fit_one(search(g, args.rank, args.tol), args.method)
     _log_fit(args.input.stem, args.method, args.rank, runtime_ms)
 
     text = json.dumps(fit_record(fit)) + "\n"
@@ -140,9 +140,9 @@ def _cmd_sweep(args) -> int:
         # strip only a final .jsonl: report.v2.jsonl keeps its .v2
         stem = args.output.name.removesuffix(".jsonl")
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
-    g, config = _setup(args, args.max_rank, "--max-rank", outputs)
+    g = _setup(args, args.max_rank, "--max-rank", outputs)
     report = run_sweep(
-        g, args.max_rank, config, dataset_id=args.input.stem, balanced=args.balanced
+        g, args.max_rank, args.tol, dataset_id=args.input.stem, balanced=args.balanced
     )
     for row, runtime_ms in zip(report.rows, report.runtime_ms):
         _log_fit(report.dataset_id, row["method"], row["r"], runtime_ms)

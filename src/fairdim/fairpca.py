@@ -29,16 +29,24 @@ Everything a fit needs from the data is its three d x d second moments
 and the plain-PCA eigenvectors. ``prepare`` computes both once and keeps
 only them and the two group labels, so no step after it touches the
 n x d rows: ``weighted_covariance`` blends the moments, ``sym_eig_top_r``
-projects, and ``metrics.moment_metrics`` scores. A sweep shares one
-``Prepared`` across all of its (rank, method) cells, and a single fit
-builds its own. ``prepare`` is also the one numeric gate: once C, D and
-the squared traces are finite, every blend is finite and bitwise
-symmetric by construction, so the per-alpha eigensolve checks nothing.
+projects, and ``metrics.moment_metrics`` scores. ``prepare`` is also the
+one numeric gate: once C, D and the squared traces are finite, every
+blend is finite and bitwise symmetric by construction, so the per-alpha
+eigensolve checks nothing.
+
+``search(data, r, tol)`` returns the ``Search`` record that the three fits
+at one rank share: plain PCA, the moments in the roles it sets, and a
+root search that runs once, on first use, for both ``ufpca()`` and
+``cfpca()``. A sweep shares one ``Prepared`` plus one ``Search`` per rank;
+``classical_pca``, ``u_fpca`` and ``c_fpca`` each build their own. A
+``Search`` is safe to share between threads: two that first use it
+together may both run its root search, with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +56,11 @@ from .linalg import LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import GroupMetrics, Moments, moment_metrics
 
 __all__ = [
-    "SearchConfig",
     "FairFitResult",
     "Prepared",
     "prepare",
+    "Search",
+    "search",
     "classical_pca",
     "weighted_covariance",
     "u_fpca",
@@ -64,17 +73,6 @@ _BUDGET_SLACK = 1e-9
 METHOD_PCA = "pca"
 METHOD_UFPCA = "ufpca"
 METHOD_CFPCA = "cfpca"
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Search settings: stop once the alpha bracket is narrower than tol."""
-
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,6 @@ def prepare(g: GroupedData, max_rank: int) -> Prepared:
     )
 
 
-def _prepared(data: GroupedData | Prepared, r: int) -> Prepared:
-    if isinstance(data, Prepared):
-        _check_rank(r, data.max_rank)
-        return data
-    return prepare(data, r)
-
-
 def weighted_covariance(m: Moments, alpha: float) -> np.ndarray:
     """Blend of the overall covariance with the signed group-covariance gap.
 
@@ -204,34 +195,10 @@ def _plain(p: Prepared, r: int) -> tuple[FairFitResult, Moments]:
     return FairFitResult(METHOD_PCA, 1.0, u, metrics, 0, privileged, harmed), m
 
 
-def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
-    """Top-r eigenvectors of the plain covariance, with group metrics.
-
-    Roles are assigned from this projection's own per-group errors, so
-    the reported disparity is never negative here. ``data`` is the
-    dataset, or its ``Prepared`` form to reuse.
-    """
-    return _plain(_prepared(data, r), r)[0]
-
-
 class _Point(NamedTuple):
     alpha: float
     u: np.ndarray
     metrics: GroupMetrics
-
-
-def _prepare_search(data: GroupedData | Prepared, r: int):
-    # plain PCA sets the roles: its privileged-first moments drive every
-    # blend, and its harmed error is the budget
-    pca, m = _plain(_prepared(data, r), r)
-
-    def evaluate(alpha: float) -> _Point:
-        if alpha == 1.0:  # plain PCA itself: no second solve
-            return _Point(1.0, pca.u, pca.metrics)
-        u = sym_eig_top_r(weighted_covariance(m, alpha), r).vectors
-        return _Point(alpha, u, moment_metrics(m, u))
-
-    return pca, evaluate
 
 
 def _bisect(evaluate, lo: _Point, hi: _Point, upper, tol: float):
@@ -255,74 +222,110 @@ def _bisect(evaluate, lo: _Point, hi: _Point, upper, tol: float):
     return lo, hi, halvings
 
 
-def _root_candidates(evaluate, tol: float) -> tuple[list[_Point], int]:
-    """The points u_fpca picks from, and the halvings it took to find them:
-    plain PCA when it is already fair or keeps every dimension, alpha = 0
-    when even that leaves the harmed group worse off, and otherwise both
-    ends of the bracket around the disparity's sign change plus the secant
-    point between them."""
-    one = evaluate(1.0)
-    # at r = d plain PCA is exact and every error is round-off: nothing to search
-    if one.metrics.disparity <= 0.0 or one.u.shape[1] == one.u.shape[0]:
-        return [one], 0
-    zero = evaluate(0.0)
-    if zero.metrics.disparity > 0.0:
-        return [zero], 0
-    lo, hi, halvings = _bisect(
-        evaluate, zero, one, lambda p: p.metrics.disparity > 0.0, tol
-    )
-    d_lo, d_hi = lo.metrics.disparity, hi.metrics.disparity
-    secant = evaluate(lo.alpha + (hi.alpha - lo.alpha) * d_lo / (d_lo - d_hi))
-    return [lo, hi, secant], halvings
-
-
-def _fairest(points: list[_Point]) -> _Point:
+def _fairest(points) -> _Point:
     # the larger alpha wins a tie: it gives up less overall error
     return min(points, key=lambda p: (p.metrics.fairness, -p.alpha))
 
 
-def _result(method, pca, best: _Point, halvings, budget=None) -> FairFitResult:
-    return FairFitResult(
-        method, best.alpha, best.u, best.metrics, halvings,
-        pca.privileged, pca.harmed, budget,
-    )
+@dataclass(frozen=True)
+class Search:
+    """The three fits at one rank. Plain PCA ``pca`` sets the roles: its
+    privileged-first ``moments`` drive every blend, and its harmed error is
+    cfpca's budget. ``roots`` runs the root search both fair fits share on
+    first use, so a plain-PCA fit never pays for it."""
+
+    pca: FairFitResult
+    moments: Moments
+    tol: float
+
+    def evaluate(self, alpha: float) -> _Point:
+        if alpha == 1.0:  # plain PCA itself: no second solve
+            return _Point(1.0, self.pca.u, self.pca.metrics)
+        r = self.pca.u.shape[1]
+        u = sym_eig_top_r(weighted_covariance(self.moments, alpha), r).vectors
+        return _Point(alpha, u, moment_metrics(self.moments, u))
+
+    @cached_property
+    def roots(self) -> tuple[tuple[_Point, ...], int]:
+        """The points ufpca picks from, and the halvings it took to find
+        them: plain PCA when it is already fair or keeps every dimension,
+        alpha = 0 when even that leaves the harmed group worse off, and
+        otherwise both ends of the bracket around the disparity's sign
+        change plus the secant point between them."""
+        one = self.evaluate(1.0)
+        # at r = d plain PCA is exact and every error is round-off: nothing to search
+        if one.metrics.disparity <= 0.0 or one.u.shape[1] == one.u.shape[0]:
+            return (one,), 0
+        zero = self.evaluate(0.0)
+        if zero.metrics.disparity > 0.0:
+            return (zero,), 0
+        lo, hi, halvings = _bisect(
+            self.evaluate, zero, one, lambda p: p.metrics.disparity > 0.0, self.tol
+        )
+        d_lo, d_hi = lo.metrics.disparity, hi.metrics.disparity
+        secant = self.evaluate(lo.alpha + (hi.alpha - lo.alpha) * d_lo / (d_lo - d_hi))
+        return (lo, hi, secant), halvings
+
+    def ufpca(self) -> FairFitResult:
+        """The fairest of the root candidates."""
+        candidates, halvings = self.roots
+        return FairFitResult(
+            METHOD_UFPCA, *_fairest(candidates), halvings,
+            self.pca.privileged, self.pca.harmed,
+        )
+
+    def cfpca(self) -> FairFitResult:
+        """The fairest root candidate that meets the budget. If none does,
+        bisects between the highest candidate and alpha = 1 for where the
+        budget starts to hold, and returns that bracket's upper end."""
+        budget = self.pca.metrics.err_b
+
+        def meets(p: _Point) -> bool:
+            return p.metrics.err_a <= budget and p.metrics.err_b <= budget
+
+        candidates, halvings = self.roots
+        feasible = [p for p in candidates if meets(p)]
+        if feasible:
+            best = _fairest(feasible)
+        else:
+            highest = max(candidates, key=lambda p: p.alpha)
+            _, best, more = _bisect(
+                self.evaluate, highest, self.evaluate(1.0), meets, self.tol
+            )
+            halvings += more
+        return FairFitResult(
+            METHOD_CFPCA, *best, halvings, self.pca.privileged, self.pca.harmed, budget
+        )
 
 
-def u_fpca(
-    data: GroupedData | Prepared, r: int, config: SearchConfig | None = None
-) -> FairFitResult:
-    """Unconstrained fair fit: pick alpha minimizing the squared disparity.
+def search(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> Search:
+    """The ``Search`` at rank r of the dataset or its ``Prepared`` form.
+    ``tol`` is the alpha bracket's final width and must be > 0."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(data, Prepared):
+        _check_rank(r, data.max_rank)
+    else:
+        data = prepare(data, r)
+    return Search(*_plain(data, r), tol)
 
-    Runs plain PCA once to freeze the privileged/harmed roles, then
-    bisects alpha on the sign of the disparity and returns the fairest
-    of the final bracket's ends and its secant point.
+
+def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
+    """Top-r eigenvectors of the plain covariance, with group metrics.
+
+    Roles are assigned from this projection's own per-group errors, so
+    the reported disparity is never negative here.
     """
-    pca, evaluate = _prepare_search(data, r)
-    candidates, halvings = _root_candidates(evaluate, (config or SearchConfig()).tol)
-    return _result(METHOD_UFPCA, pca, _fairest(candidates), halvings)
+    return search(data, r).pca
 
 
-def c_fpca(
-    data: GroupedData | Prepared, r: int, config: SearchConfig | None = None
-) -> FairFitResult:
+def u_fpca(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
+    """Unconstrained fair fit: the alpha minimizing the squared disparity,
+    found by bisecting on its sign (``Search.roots``)."""
+    return search(data, r, tol).ufpca()
+
+
+def c_fpca(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
     """Constrained fair fit: like u_fpca, but neither group's error may
-    exceed the harmed group's plain-PCA error.
-
-    Returns the fairest of u_fpca's candidates that meets the budget. If
-    none does, bisects between the highest candidate and alpha = 1 for
-    where the budget starts to hold, and returns that bracket's upper end.
-    """
-    pca, evaluate = _prepare_search(data, r)
-    tol = (config or SearchConfig()).tol
-    budget = pca.metrics.err_b
-
-    def meets(p: _Point) -> bool:
-        return p.metrics.err_a <= budget and p.metrics.err_b <= budget
-
-    candidates, halvings = _root_candidates(evaluate, tol)
-    feasible = [p for p in candidates if meets(p)]
-    if feasible:
-        return _result(METHOD_CFPCA, pca, _fairest(feasible), halvings, budget)
-    highest = max(candidates, key=lambda p: p.alpha)
-    _, best, more = _bisect(evaluate, highest, evaluate(1.0), meets, tol)
-    return _result(METHOD_CFPCA, pca, best, halvings + more, budget)
+    exceed the harmed group's plain-PCA error."""
+    return search(data, r, tol).cfpca()

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "LinalgError",
     "EigenPairs",
-    "as_matrix",
     "scaled_gram",
     "sym_eig_top_r",
 ]
@@ -27,16 +26,6 @@ __all__ = [
 
 class LinalgError(ValueError):
     """A matrix argument violates an operation's contract."""
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise LinalgError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise LinalgError(f"{name} contains non-finite entries")
-    return arr
 
 
 def scaled_gram(x, divisor: int) -> np.ndarray:

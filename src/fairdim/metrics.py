@@ -15,10 +15,6 @@ one. That is decided once per fit, and only in ``fairpca``: the moments
 arrive with the first-seen group as ``a`` and are swapped if plain PCA at
 the fit's rank gives a negative disparity. So the group with the lower
 plain-PCA error is privileged, and the first-seen group on an exact tie.
-
-``avg_reconstruction_error_direct`` computes the same error from the rows
-and the explicit residual; it is the slow reference the tests hold the
-moment form to, and it validates the projection's orthonormality.
 """
 
 from __future__ import annotations
@@ -27,32 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LinalgError, as_matrix
-
 __all__ = [
     "GroupMetrics",
     "Moments",
-    "avg_reconstruction_error_direct",
     "moment_metrics",
 ]
-
-_PROJ_ORTHO_TOL = 1e-6
-
-
-def avg_reconstruction_error_direct(x, u) -> float:
-    """Average squared residual of projecting the rows of ``x`` onto
-    span(u), via the explicit residual; the slow reference form."""
-    x = as_matrix(x, "x")
-    u = as_matrix(u, "u")
-    if x.shape[1] != u.shape[0]:
-        raise LinalgError(
-            f"projection rows ({u.shape[0]}) must match data width ({x.shape[1]})"
-        )
-    gram = u.T @ u
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _PROJ_ORTHO_TOL:
-        raise LinalgError("projection columns are not orthonormal")
-    resid = x - x @ u @ u.T
-    return float(np.sum(resid * resid)) / x.shape[0]
 
 
 @dataclass(frozen=True)

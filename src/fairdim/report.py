@@ -21,15 +21,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .dataset import DataError, GroupedData
-from .fairpca import (
-    FairFitResult,
-    Prepared,
-    SearchConfig,
-    c_fpca,
-    classical_pca,
-    prepare,
-    u_fpca,
-)
+from .fairpca import FairFitResult, Search, prepare, search
 from .metrics import GroupMetrics
 
 __all__ = [
@@ -47,7 +39,8 @@ __all__ = [
 
 METHODS = ("pca", "ufpca", "cfpca")
 ROW_FIELDS = ("r", "method", "alpha", *(f.name for f in fields(GroupMetrics)))
-_CAST = {"r": int, "method": str}  # every other row field is a float
+# the JSON types a record field may take; every other row field is a number
+_TYPES = {"dataset_id": (str,), "balanced": (bool,), "r": (int,), "method": (str,)}
 
 
 @dataclass(frozen=True)
@@ -63,46 +56,35 @@ class SweepReport:
     runtime_ms: tuple[int, ...] = ()
 
 
-def fit_one(
-    data: GroupedData | Prepared, r: int, method: str, config: SearchConfig
-) -> tuple[FairFitResult, int]:
-    """Fit one method at one rank; return the fit and its wall time in ms.
-
-    This is the only dispatch from a method name to its fit, shared by a
-    single fit and by every cell of a sweep. ``data`` is the dataset, or
-    its ``Prepared`` form to reuse.
-    """
+def fit_one(s: Search, method: str) -> tuple[FairFitResult, int]:
+    """Derive one method's fit from a rank's ``Search``; return the fit and
+    the ms it took, which include the root search only for the first fair
+    fit on ``s``. This is the only dispatch from a method name to its fit,
+    shared by a single fit and by every cell of a sweep."""
     start = perf_counter()
     if method == "pca":
-        fit = classical_pca(data, r)
+        fit = s.pca
     elif method == "ufpca":
-        fit = u_fpca(data, r, config)
+        fit = s.ufpca()
     elif method == "cfpca":
-        fit = c_fpca(data, r, config)
+        fit = s.cfpca()
     else:
         raise ValueError(f"unknown method {method!r}")
     return fit, int(round((perf_counter() - start) * 1000.0))
 
 
 def run_sweep(
-    g: GroupedData,
-    max_rank: int,
-    config: SearchConfig,
-    dataset_id: str,
-    balanced: bool,
+    g: GroupedData, max_rank: int, tol: float, dataset_id: str, balanced: bool
 ) -> SweepReport:
     """Fit all methods for every rank 1..max_rank, in (rank, method) order.
 
     The second moments and the one plain-PCA eigendecomposition serving
-    every rank are computed once, before the first cell, and every cell
-    reuses them.
+    every rank are computed once, before the first cell. Each rank then
+    builds one ``Search``, and its three cells share it.
     """
     p = prepare(g, max_rank)
-    cells = [
-        fit_one(p, r, method, config)
-        for r in range(1, max_rank + 1)
-        for method in METHODS
-    ]
+    searches = (search(p, r, tol) for r in range(1, max_rank + 1))
+    cells = [fit_one(s, method) for s in searches for method in METHODS]
     rows = tuple(
         {
             "r": int(fit.u.shape[1]),
@@ -150,8 +132,16 @@ def write_report_csv(report: SweepReport, fh) -> None:
     writer.writerows(record.values() for record in _records(report))
 
 
+def _field(rec: dict, key: str):
+    value = rec[key]
+    if type(value) not in _TYPES.get(key, (int, float)):
+        raise TypeError(f"{key} {value!r} has the wrong type")
+    return value if key in _TYPES else float(value)
+
+
 def read_report_jsonl(path) -> SweepReport:
-    """Parse a JSONL report, validating record shape and method tags."""
+    """Parse a JSONL report, validating each field's type, the method tags
+    and that every record names the same ``dataset_id`` and ``balanced``."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -160,8 +150,7 @@ def read_report_jsonl(path) -> SweepReport:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
-    dataset_id = ""
-    balanced = False
+    header = None
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -173,12 +162,15 @@ def read_report_jsonl(path) -> SweepReport:
         try:
             if rec["method"] not in METHODS:
                 raise DataError(f"{path}:{lineno}: unknown method {rec['method']!r}")
-            rows.append({k: _CAST.get(k, float)(rec[k]) for k in ROW_FIELDS})
-            dataset_id = str(rec["dataset_id"])
-            balanced = bool(rec["balanced"])
+            rows.append({k: _field(rec, k) for k in ROW_FIELDS})
+            this = (_field(rec, "dataset_id"), _field(rec, "balanced"))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: malformed report line: {exc}") from exc
-    return SweepReport(dataset_id, balanced, tuple(rows))
+        if header is None:
+            header = this
+        elif this != header:
+            raise DataError(f"{path}:{lineno}: mixed reports: {this} after {header}")
+    return SweepReport(*(header or ("", False)), tuple(rows))
 
 
 def write_plot_series(report: SweepReport, out_dir) -> list[Path]:

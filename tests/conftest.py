@@ -6,7 +6,37 @@ import numpy as np
 import pytest
 
 from fairdim.dataset import RawTable, center_and_split, write_table
+from fairdim.linalg import LinalgError
 from fairdim.synth import s1_table
+
+_PROJ_ORTHO_TOL = 1e-6
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        raise LinalgError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.size and not np.isfinite(arr).all():
+        raise LinalgError(f"{name} contains non-finite entries")
+    return arr
+
+
+def avg_reconstruction_error_direct(x, u) -> float:
+    """Average squared residual of projecting the rows of ``x`` onto
+    span(u), via the explicit residual: the slow reference that the
+    library's moment form (``metrics.moment_metrics``) is held to."""
+    x = as_matrix(x, "x")
+    u = as_matrix(u, "u")
+    if x.shape[1] != u.shape[0]:
+        raise LinalgError(
+            f"projection rows ({u.shape[0]}) must match data width ({x.shape[1]})"
+        )
+    gram = u.T @ u
+    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > _PROJ_ORTHO_TOL:
+        raise LinalgError("projection columns are not orthonormal")
+    resid = x - x @ u @ u.T
+    return float(np.sum(resid * resid)) / x.shape[0]
 
 
 def rand_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -46,6 +76,19 @@ def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int):
     feats = np.vstack([xa, xb])
     labels = ["a"] * n_a + ["b"] * n_b
     return center_and_split(make_table(feats, labels))
+
+
+def count_solves(monkeypatch) -> list:
+    """Count the eigensolves ``fairpca`` makes from here on: the returned
+    list grows by one per ``sym_eig_top_r`` call."""
+    import fairdim.fairpca as fairpca_module
+
+    calls = []
+    real = fairpca_module.sym_eig_top_r
+    monkeypatch.setattr(
+        fairpca_module, "sym_eig_top_r", lambda *a: calls.append(1) or real(*a)
+    )
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ import pytest
 from fairdim import cli
 from fairdim.dataset import balance, center_and_split, load_grouped, load_table
 from fairdim.fairpca import (
-    SearchConfig,
     c_fpca,
     classical_pca,
     prepare,
@@ -22,10 +21,14 @@ from fairdim.fairpca import (
     weighted_covariance,
 )
 from fairdim.linalg import scaled_gram, sym_eig_top_r
-from fairdim.metrics import avg_reconstruction_error_direct
 from fairdim.synth import s1_table
 
-from conftest import eig2x2_values, rand_symmetric, random_grouped
+from conftest import (
+    avg_reconstruction_error_direct,
+    eig2x2_values,
+    rand_symmetric,
+    random_grouped,
+)
 
 S1_VARIANT_SEEDS = [42] + list(range(43, 63))  # baseline plus 20 variants
 
@@ -158,7 +161,7 @@ def test_criterion_5_search_matches_grid_oracle():
             u = sym_eig_top_r(a * c_x + (1.0 - a) * delta, 1).vectors
             grid_f.append(_disparity(rows, u) ** 2)
         grid_f = np.array(grid_f)
-        fit = u_fpca(g, 1, SearchConfig(tol=1e-6))
+        fit = u_fpca(g, 1, tol=1e-6)
         tol = max(1e-8, 1e-3 * float(grid_f.max() - grid_f.min()))
         assert fit.metrics.fairness - float(grid_f.min()) <= tol, f"seed {seed}"
         assert fit.iterations <= math.ceil(math.log2(1e6))

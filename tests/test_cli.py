@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fairdim import cli, report
+from fairdim import cli, fairpca, report
 from fairdim.dataset import balance, center_and_split, load_table
-from fairdim.fairpca import SearchConfig
 from fairdim.linalg import LinalgError
 from fairdim.report import read_report_jsonl, run_sweep
+
+from conftest import count_solves
 
 
 def run_cli(*argv):
@@ -192,7 +193,7 @@ class TestSweep:
         # reference: library pipeline on the balanced 3+3 table
         g = center_and_split(balance(load_table(path, "group")))
         assert (g.n_a, g.n_b) == (3, 3)
-        expected = run_sweep(g, 2, SearchConfig(), "toy", True)
+        expected = run_sweep(g, 2, 1e-6, "toy", True)
         for rec, row in zip(rows, expected.rows):
             assert rec["balanced"] is True
             assert rec["overall_err"] == row["overall_err"]
@@ -379,6 +380,31 @@ class TestPlotdata:
         err = capsys.readouterr().err
         assert "malformed" in err and "unknown method 'lda'" in err
 
+    def test_non_integer_rank(self, tmp_path, capsys):
+        # 2.7 used to be plotted at r = 2, and true at r = 1
+        for r in (2.7, True):
+            assert self.plot(tmp_path, {**self.GOOD, "r": r}) == 2
+            assert "malformed" in capsys.readouterr().err
+
+    def test_boolean_measure(self, tmp_path, capsys):
+        # true used to be read as 1.0
+        for key in ("alpha", "fairness"):
+            assert self.plot(tmp_path, {**self.GOOD, key: True}) == 2
+            assert "malformed" in capsys.readouterr().err
+
+    def test_mixed_reports(self, tmp_path, capsys):
+        # the last line's dataset_id and balanced used to win
+        path = tmp_path / "two.jsonl"
+        for key, other in (("dataset_id", "s2"), ("balanced", True)):
+            second = {**self.GOOD, "r": 2, key: other}
+            path.write_text(
+                "".join(json.dumps(rec) + "\n" for rec in (self.GOOD, second)),
+                encoding="utf-8",
+            )
+            assert run_cli("plotdata", "--report", str(path),
+                           "--out-dir", str(tmp_path / "plots")) == 2
+            assert f"{path}:2: mixed reports" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_bad_flags(self, s1_csv):
@@ -444,7 +470,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise LinalgError("synthetic numeric failure")
 
-        monkeypatch.setattr(report, "classical_pca", boom)
+        monkeypatch.setattr(fairpca, "_plain", boom)
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 3
         assert "numeric error" in capsys.readouterr().err
@@ -472,7 +498,7 @@ class TestSharedWork:
     def test_fit_runs_plain_pca_once(self, wide_csv, monkeypatch, capsys):
         import fairdim.fairpca as fairpca_module
         from fairdim.dataset import load_grouped
-        from fairdim.metrics import avg_reconstruction_error_direct
+        from conftest import avg_reconstruction_error_direct
 
         # every plain-PCA fit, alone or inside a search, goes through _plain
         calls = []
@@ -496,6 +522,35 @@ class TestSharedWork:
         assert err_a != pytest.approx(err_b)
         expected = (g.label_a, g.label_b) if err_a < err_b else (g.label_b, g.label_a)
         assert (record["privileged"], record["harmed"]) == expected
+
+    def test_sweep_runs_one_root_search_per_rank(self, wide_csv, monkeypatch, capsys):
+        from fairdim.dataset import load_grouped
+        from fairdim.fairpca import c_fpca, u_fpca
+
+        calls = count_solves(monkeypatch)
+        assert run_cli("sweep", "--input", str(wide_csv), "--sensitive-col", "group",
+                       "--max-rank", "4") == 0
+        capsys.readouterr()
+        solves = len(calls)
+
+        # every rank has an interior root and a budget its root meets, so
+        # cfpca adds no solve: one for prepare, then per rank alpha = 0,
+        # one per halving and the secant point
+        g = load_grouped(wide_csv, "group")
+        expected = 1
+        for r in range(1, 5):
+            uf, cf = u_fpca(g, r), c_fpca(g, r)
+            assert 0.0 < uf.alpha < 1.0
+            assert (cf.alpha, cf.iterations) == (uf.alpha, uf.iterations)
+            expected += uf.iterations + 2
+        assert solves == expected
+
+    def test_pca_fit_runs_no_search(self, wide_csv, monkeypatch, capsys):
+        calls = count_solves(monkeypatch)
+        assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
+                       "--method", "pca", "--rank", "2") == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_sweep_grams_independent_of_rank(self, wide_csv, monkeypatch, capsys):
         import fairdim.fairpca as fairpca_module

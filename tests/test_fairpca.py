@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,19 +11,24 @@ from hypothesis import given, settings, strategies as st
 from fairdim.dataset import center_and_split
 from fairdim.fairpca import (
     FairFitResult,
-    SearchConfig,
     _bisect,
     _Point,
     c_fpca,
     classical_pca,
     prepare,
+    search,
     u_fpca,
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
-from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
+from fairdim.metrics import Moments, moment_metrics
 
-from conftest import make_table, random_grouped
+from conftest import (
+    avg_reconstruction_error_direct,
+    count_solves,
+    make_table,
+    random_grouped,
+)
 
 
 def projector_gap(u, v):
@@ -61,16 +68,14 @@ def fair_projection(m, alpha, r):
     return sym_eig_top_r(weighted_covariance(m, alpha), r).vectors
 
 
-class TestSearchConfig:
+class TestSearchTol:
     def test_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.tol == 1e-6
+        assert search(identical_groups(), 1).tol == 1e-6
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            SearchConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(tol=-1e-3)
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                search(identical_groups(), 1, tol)
 
 
 class TestClassicalPca:
@@ -266,12 +271,12 @@ class TestUFpca:
         assert fit.iterations == 20
 
     def test_respects_tolerance_config(self, s1_grouped):
-        loose = u_fpca(s1_grouped, 1, SearchConfig(tol=1e-2))
+        loose = u_fpca(s1_grouped, 1, tol=1e-2)
         assert loose.iterations == 7
 
     def test_terminates_without_iteration_cap(self, s1_grouped):
         # the finest tol halves until the bracket's ends are adjacent floats
-        fine = u_fpca(s1_grouped, 1, SearchConfig(tol=5e-324))
+        fine = u_fpca(s1_grouped, 1, tol=5e-324)
         assert fine.iterations <= 64
         assert fine.metrics.fairness <= u_fpca(s1_grouped, 1).metrics.fairness
 
@@ -388,6 +393,61 @@ class TestCFpca:
         # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
         # one per halving and one at the secant point
         assert calls["n"] == fit.iterations + 3
+
+
+class TestSharedSearch:
+    """ufpca and cfpca at one rank derive from one root search."""
+
+    def test_cfpca_after_ufpca_adds_no_solve(self, s1_grouped, monkeypatch):
+        s = search(s1_grouped, 1)
+        calls = count_solves(monkeypatch)
+        uf = s.ufpca()
+        assert 0.0 < uf.alpha < 1.0
+        assert len(calls) == uf.iterations + 2  # alpha = 0, halvings, secant
+        cf = s.cfpca()
+        assert (cf.alpha, cf.iterations) == (uf.alpha, uf.iterations)
+        assert len(calls) == uf.iterations + 2
+
+    def test_budget_bisection_adds_only_its_halvings(self, monkeypatch):
+        # ufpca lands on alpha = 0 and breaks the budget, so cfpca bisects
+        # up from there; alpha = 1 is plain PCA and costs no solve
+        s = search(random_grouped(np.random.default_rng(7), 38, 3, 2), 1)
+        calls = count_solves(monkeypatch)
+        uf = s.ufpca()
+        before = len(calls)
+        cf = s.cfpca()
+        assert (uf.alpha, uf.iterations) == (0.0, 0)
+        assert cf.iterations == 20
+        assert len(calls) - before == cf.iterations - uf.iterations
+
+    def test_concurrent_first_use(self, s1_grouped):
+        # threads that race to the first use of one Search may each run the
+        # root search, but every fit they derive is the serial one
+        serial = search(s1_grouped, 1)
+        expected = (serial.ufpca(), serial.cfpca())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                s = search(s1_grouped, 1)
+                results = []
+
+                def work(s=s, results=results):
+                    results.append((s.ufpca(), s.cfpca()))
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(results) == 4
+                for fits in results:
+                    for fit, want in zip(fits, expected):
+                        assert (fit.alpha, fit.iterations) == (want.alpha, want.iterations)
+                        assert np.array_equal(fit.u, want.u)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestFullRank:

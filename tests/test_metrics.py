@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from fairdim.linalg import LinalgError, scaled_gram
-from fairdim.metrics import Moments, avg_reconstruction_error_direct, moment_metrics
+from fairdim.metrics import Moments, moment_metrics
 from fairdim.fairpca import classical_pca, prepare
 
-from conftest import make_table, rand_orthonormal, random_grouped
+from conftest import (
+    avg_reconstruction_error_direct,
+    make_table,
+    rand_orthonormal,
+    random_grouped,
+)
 from fairdim.dataset import center_and_split
 
 
