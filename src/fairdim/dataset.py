@@ -13,13 +13,18 @@ reader. Quoted or malformed files, and any cell that pass rejects, go
 through a per-cell reader (``csv.reader`` plus ``float()``) instead; it
 gives the same values bit for bit and raises the same errors, naming the
 line and column of the first bad cell.
+
+The groups are decided once, at load: the first-seen label is group a,
+and every record after that (``RawTable``, then ``GroupedData``) holds a
+bool mask that is True on its rows, plus the two labels. No record keeps
+a label per row, so nothing after the load reads one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,36 +47,39 @@ class DataError(ValueError):
     """The input table violates the loader's schema contract."""
 
 
+def _check_groups(in_a: np.ndarray, n: int, label_a: str, label_b: str) -> None:
+    """The group invariants ``RawTable`` and ``GroupedData`` share."""
+    if in_a.dtype != bool or in_a.shape != (n,):
+        raise DataError("one boolean group flag required per row")
+    if in_a.all() or not in_a.any():
+        raise DataError("each group needs at least one row")
+    if label_a == label_b:
+        raise DataError(f"both groups are labeled {label_a!r}")
+
+
 @dataclass(frozen=True)
 class RawTable:
-    """A numeric feature matrix plus one group label per row.
+    """A numeric feature matrix plus a mask marking the first group's rows.
 
-    ``labels`` carries the sensitive column verbatim; the sensitive column
-    itself is never part of ``features``.
+    ``in_a`` is True on the rows of ``label_a``, the label seen first in
+    the sensitive column, and False on those of ``label_b``; the labels
+    are kept verbatim. The sensitive column itself is never part of
+    ``features``.
     """
 
     features: np.ndarray            # (n, d) float64
-    labels: tuple[str, ...]         # length n
+    in_a: np.ndarray                # (n,) bool, True on the rows of label_a
+    label_a: str
+    label_b: str
     feature_names: tuple[str, ...]  # length d
     sensitive_name: str
 
     def __post_init__(self):
         if self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
-        if len(self.labels) != self.features.shape[0]:
-            raise DataError("one label required per row")
+        _check_groups(self.in_a, self.features.shape[0], self.label_a, self.label_b)
         if len(self.feature_names) != self.features.shape[1]:
             raise DataError("one name required per feature column")
-
-    def group_labels(self) -> tuple[str, str]:
-        """The two distinct labels, in order of first appearance."""
-        seen: list[str] = []
-        for lab in self.labels:
-            if lab not in seen:
-                seen.append(lab)
-        if len(seen) != 2:
-            raise DataError(f"expected exactly 2 groups, found {len(seen)}")
-        return seen[0], seen[1]
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,7 @@ class GroupedData:
     label_b: str
 
     def __post_init__(self):
-        if self.in_a.dtype != bool or self.in_a.shape != self.x.shape[:1]:
-            raise DataError("one boolean group flag required per row")
-        if self.in_a.all() or not self.in_a.any():
-            raise DataError("each group needs at least one row")
+        _check_groups(self.in_a, self.x.shape[0], self.label_a, self.label_b)
 
     @property
     def n(self) -> int:
@@ -173,15 +178,19 @@ def _table(
     labels: list[str],
     feature_names: tuple[str, ...],
 ) -> RawTable:
-    distinct = set(labels)
-    if len(distinct) != 2:
+    """The one place label strings become groups: the first-seen is ``a``."""
+    groups = dict.fromkeys(labels)
+    if len(groups) != 2:
         raise DataError(
-            f"{path}: sensitive column {sensitive_column!r} has {len(distinct)} "
+            f"{path}: sensitive column {sensitive_column!r} has {len(groups)} "
             f"distinct values, expected exactly 2"
         )
+    label_a, label_b = groups
     return RawTable(
         features=features,
-        labels=tuple(labels),
+        in_a=np.array([lab == label_a for lab in labels]),
+        label_a=label_a,
+        label_b=label_b,
         feature_names=feature_names,
         sensitive_name=sensitive_column,
     )
@@ -302,14 +311,8 @@ def write_table(table: RawTable, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(table.feature_names) + [table.sensitive_name])
-        for row, label in zip(table.features, table.labels):
-            writer.writerow([float(v) for v in row] + [label])
-
-
-def _first_group(table: RawTable) -> tuple[np.ndarray, str, str]:
-    """A mask marking the rows of the first-seen group, and both labels."""
-    first, second = table.group_labels()
-    return np.array([lab == first for lab in table.labels]), first, second
+        for row, flag in zip(table.features, table.in_a):
+            writer.writerow([float(v) for v in row] + [table.label_a if flag else table.label_b])
 
 
 def balance(table: RawTable) -> RawTable:
@@ -318,29 +321,23 @@ def balance(table: RawTable) -> RawTable:
     Keeps the first ``min(n_a, n_b)`` rows of each group in original file
     order; already-balanced input comes back unchanged.
     """
-    in_a, _, _ = _first_group(table)
+    in_a = table.in_a
     n_a = int(np.count_nonzero(in_a))
     # each row's 1-based position within its own group
     position = np.where(in_a, np.cumsum(in_a), np.cumsum(~in_a))
     keep = np.flatnonzero(position <= min(n_a, in_a.size - n_a))
-    return RawTable(
-        features=table.features[keep],
-        labels=tuple(table.labels[i] for i in keep),
-        feature_names=table.feature_names,
-        sensitive_name=table.sensitive_name,
-    )
+    return replace(table, features=table.features[keep], in_a=in_a[keep])
 
 
 def center_and_split(table: RawTable) -> GroupedData:
-    """Subtract each column's global mean, then mark each row's group.
+    """Subtract each column's global mean; the group mask and labels pass through.
 
     The mean is always taken over all rows of the (possibly balanced)
     table, not per group; balancing must therefore happen before this
     step, since dropping rows moves the mean.
     """
-    in_a, first, second = _first_group(table)
     x = table.features - table.features.mean(axis=0)
-    grouped = GroupedData(x=x, in_a=in_a, label_a=first, label_b=second)
+    grouped = GroupedData(x=x, in_a=table.in_a, label_a=table.label_a, label_b=table.label_b)
     # round-off in the mean and the subtraction grows with the column's
     # largest magnitude, so the bound scales with it
     scale = np.maximum(table.features.max(axis=0), -table.features.min(axis=0))

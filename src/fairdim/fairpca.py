@@ -67,7 +67,7 @@ __all__ = [
     "c_fpca",
 ]
 
-# Slack allowed when verifying a constrained fit against its error budget.
+# Relative slack allowed when verifying a constrained fit against its error budget.
 _BUDGET_SLACK = 1e-9
 
 METHOD_PCA = "pca"
@@ -101,10 +101,8 @@ class FairFitResult:
         if self.method == METHOD_CFPCA:
             if self.budget is None:
                 raise ValueError("constrained fits must record their budget")
-            if (
-                self.metrics.err_a > self.budget + _BUDGET_SLACK
-                or self.metrics.err_b > self.budget + _BUDGET_SLACK
-            ):
+            cap = self.budget * (1.0 + _BUDGET_SLACK)
+            if self.metrics.err_a > cap or self.metrics.err_b > cap:
                 raise ValueError("constrained fit exceeds its error budget")
 
 
@@ -223,8 +221,10 @@ def _bisect(evaluate, lo: _Point, hi: _Point, upper, tol: float):
 
 
 def _fairest(points) -> _Point:
-    # the larger alpha wins a tie: it gives up less overall error
-    return min(points, key=lambda p: (p.metrics.fairness, -p.alpha))
+    # |disparity|, not its square: the square underflows to 0 for features
+    # near 1e-91 and would tie every point. The larger alpha wins a tie: it
+    # gives up less overall error
+    return min(points, key=lambda p: (abs(p.metrics.disparity), -p.alpha))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,9 @@ def s1_table(seed: int = DEFAULT_SEED) -> RawTable:
     group_b = _cloud(rng, 300, angle_deg=70.0, scales=(1.5, 0.5))
     return RawTable(
         features=np.vstack([group_a, group_b]),
-        labels=("a",) * 600 + ("b",) * 300,
+        in_a=np.arange(900) < 600,
+        label_a="a",
+        label_b="b",
         feature_names=("x1", "x2"),
         sensitive_name="group",
     )

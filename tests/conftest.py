@@ -58,14 +58,24 @@ def eig2x2_values(m: np.ndarray) -> tuple[float, float]:
 
 
 def make_table(features, labels, sensitive="group") -> RawTable:
+    """A RawTable of ``features`` grouped by the per-row ``labels`` (two
+    distinct values) as the loader groups them: the first-seen is ``a``."""
     features = np.asarray(features, dtype=float)
     names = tuple(f"f{i}" for i in range(features.shape[1]))
+    label_a, label_b = dict.fromkeys(labels)
     return RawTable(
         features=features,
-        labels=tuple(labels),
+        in_a=np.array([lab == label_a for lab in labels]),
+        label_a=label_a,
+        label_b=label_b,
         feature_names=names,
         sensitive_name=sensitive,
     )
+
+
+def row_labels(table: RawTable) -> tuple[str, ...]:
+    """Each row's label, read back from the table's group mask."""
+    return tuple(table.label_a if flag else table.label_b for flag in table.in_a)
 
 
 def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int):

@@ -224,10 +224,11 @@ def test_criterion_8_balanced_mode_rule(tmp_path):
     assert cli.main(["gen", "--out", str(path)]) == 0
     table = load_table(path, "group")
     balanced = balance(table)
-    assert balanced.labels.count("a") == balanced.labels.count("b") == 300
+    assert (balanced.label_a, balanced.label_b) == ("a", "b")
+    assert np.count_nonzero(balanced.in_a) == np.count_nonzero(~balanced.in_a) == 300
     # the kept rows of the larger group are its first 300 in file order
-    full_a = table.features[[i for i, lab in enumerate(table.labels) if lab == "a"]]
-    kept_a = balanced.features[[i for i, lab in enumerate(balanced.labels) if lab == "a"]]
+    full_a = table.features[table.in_a]
+    kept_a = balanced.features[balanced.in_a]
     assert np.array_equal(kept_a, full_a[:300])
     _passed(8, "balanced mode keeps each group's first rows")
 
@@ -237,12 +238,11 @@ def test_criterion_8_real_dataset_group_counts(name):
     path, col, (bigger, smaller) = _real_dataset(name)
     table = load_table(path, col)
     counts = sorted(
-        (table.labels.count(lab) for lab in table.group_labels()), reverse=True
+        (np.count_nonzero(table.in_a), np.count_nonzero(~table.in_a)), reverse=True
     )
     assert counts == sorted((bigger, smaller), reverse=True)
     balanced = balance(table)
-    first, second = balanced.group_labels()
-    assert balanced.labels.count(first) == balanced.labels.count(second) == min(bigger, smaller)
+    assert np.count_nonzero(balanced.in_a) == np.count_nonzero(~balanced.in_a) == min(bigger, smaller)
     _passed(8, f"{name} group counts")
 
 

@@ -41,8 +41,9 @@ class TestGen:
 
     def test_group_sizes(self, s1_csv):
         table = load_table(s1_csv, "group")
-        assert table.labels.count("a") == 600
-        assert table.labels.count("b") == 300
+        assert (table.label_a, table.label_b) == ("a", "b")
+        assert np.count_nonzero(table.in_a) == 600
+        assert np.count_nonzero(~table.in_a) == 300
 
 
 class TestFit:
@@ -297,7 +298,9 @@ class TestPlotdata:
         feats = rng.standard_normal((40, 4))
         table = RawTable(
             features=feats,
-            labels=tuple(["a"] * 25 + ["b"] * 15),
+            in_a=np.arange(40) < 25,
+            label_a="a",
+            label_b="b",
             feature_names=("w", "x", "y", "z"),
             sensitive_name="group",
         )

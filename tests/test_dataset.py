@@ -10,6 +10,7 @@ import fairdim.dataset as dataset_module
 from fairdim.dataset import (
     DataError,
     GroupedData,
+    RawTable,
     balance,
     center_and_split,
     load_grouped,
@@ -17,7 +18,7 @@ from fairdim.dataset import (
     write_table,
 )
 
-from conftest import make_table
+from conftest import make_table, row_labels
 
 
 def write_csv(path, text):
@@ -33,9 +34,9 @@ class TestLoadTable:
         )
         table = load_table(path, "h")
         assert table.features.shape == (4, 3)
-        assert table.labels == ("f", "m", "f", "m")
+        assert table.in_a.tolist() == [True, False, True, False]
         assert table.feature_names == ("x", "y", "z")
-        assert table.group_labels() == ("f", "m")
+        assert (table.label_a, table.label_b) == ("f", "m")
 
     def test_sensitive_column_anywhere(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "x,h,y\n1,a,2\n3,b,4\n")
@@ -104,7 +105,8 @@ class TestLoadTable:
     def test_labels_verbatim(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "h,x\n 1,1\n1.0,2\n")
         table = load_table(path, "h")
-        assert table.labels == (" 1", "1.0")
+        assert table.in_a.tolist() == [True, False]
+        assert (table.label_a, table.label_b) == (" 1", "1.0")
 
     def test_round_trip(self, tmp_path):
         table = make_table([[1.5, -2.0], [0.25, 3.0]], ["a", "b"])
@@ -112,7 +114,8 @@ class TestLoadTable:
         write_table(table, path)
         back = load_table(path, "group")
         assert np.array_equal(back.features, table.features)
-        assert back.labels == table.labels
+        assert back.in_a.tolist() == table.in_a.tolist()
+        assert (back.label_a, back.label_b) == (table.label_a, table.label_b)
 
 
 # One row per input shape: the file text, then either the features and
@@ -178,7 +181,8 @@ def test_loader_parity(case, tmp_path, monkeypatch):
         assert table.features.dtype == np.float64
         assert table.features.shape == want.shape
         assert table.features.tobytes() == want.tobytes()
-        assert table.labels == labels
+        assert row_labels(table) == labels
+        assert table.label_a == labels[0]  # the first-seen group is a
         assert table.feature_names == ("x", "y")[: want.shape[1]]
     assert per_cell == ([1] if reader == "cells" else [])
 
@@ -219,7 +223,8 @@ def test_load_table_matches_float_per_cell(tmp_path, table):
     want = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
     assert out.features.tobytes() == want.tobytes()
     assert out.features.shape == want.shape
-    assert out.labels == tuple(labels)
+    assert row_labels(out) == tuple(labels)
+    assert out.label_a == labels[0]
 
 
 def _outcome(load, path):
@@ -227,7 +232,8 @@ def _outcome(load, path):
         t = load(path, "h")
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
-    return t.features.shape, t.features.tobytes(), t.labels, t.feature_names
+    return (t.features.shape, t.features.tobytes(), t.in_a.tolist(), t.label_a,
+            t.label_b, t.feature_names)
 
 
 _cell = st.sampled_from(
@@ -256,20 +262,22 @@ class TestBalance:
     def test_five_three(self):
         table = make_table(np.arange(16.0).reshape(8, 2), list("aababaab"))
         out = balance(table)
-        assert out.labels.count("a") == 3
-        assert out.labels.count("b") == 3
+        assert np.count_nonzero(out.in_a) == 3
+        assert np.count_nonzero(~out.in_a) == 3
         # first three of each group (a: rows 0,1,3; b: rows 2,4,7), file order kept
         assert np.array_equal(
             out.features,
             table.features[[0, 1, 2, 3, 4, 7]],
         )
-        assert out.labels == ("a", "a", "b", "a", "b", "b")
+        assert row_labels(out) == ("a", "a", "b", "a", "b", "b")
+        assert (out.label_a, out.label_b) == ("a", "b")
 
     def test_idempotent_when_balanced(self):
         table = make_table(np.arange(16.0).reshape(8, 2), list("abababab"))
         out = balance(table)
         assert np.array_equal(out.features, table.features)
-        assert out.labels == table.labels
+        assert out.in_a.tolist() == table.in_a.tolist()
+        assert (out.label_a, out.label_b) == (table.label_a, table.label_b)
 
     def test_equal_counts_property(self):
         rng = np.random.default_rng(0)
@@ -278,7 +286,7 @@ class TestBalance:
             labels = ["a"] + ["b"] + [("a" if rng.random() < 0.7 else "b") for _ in range(n)]
             table = make_table(rng.standard_normal((len(labels), 3)), labels)
             out = balance(table)
-            assert out.labels.count("a") == out.labels.count("b")
+            assert np.count_nonzero(out.in_a) == np.count_nonzero(~out.in_a)
 
 
 def balance_oracle(labels):
@@ -316,8 +324,40 @@ def test_balance_matches_loop_oracle(n_small, ratio, small_first, seed):
     keep = balance_oracle(labels)
     out = balance(table)
     assert out.features.tobytes() == table.features[keep].tobytes()
-    assert out.labels == tuple(labels[i] for i in keep)
-    assert out.labels.count("big") == out.labels.count("small") == n_small
+    assert row_labels(out) == tuple(labels[i] for i in keep)
+    assert out.label_a == labels[0]
+    assert row_labels(out).count("big") == row_labels(out).count("small") == n_small
+
+
+def _raw(flags, label_b="b"):
+    """A three-row RawTable with the given group mask, labeled "a" and ``label_b``."""
+    return RawTable(np.zeros((3, 2)), np.array(flags), "a", label_b, ("f0", "f1"), "group")
+
+
+class TestRawTable:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(RawTable)]
+        assert names == [
+            "features", "in_a", "label_a", "label_b", "feature_names", "sensitive_name"
+        ]
+
+    def test_rejects_non_bool_mask(self):
+        with pytest.raises(DataError, match="one boolean group flag"):
+            _raw([1, 0, 1])
+
+    @pytest.mark.parametrize("flags", [[True, False], [True, False, True, False]])
+    def test_rejects_wrong_mask_length(self, flags):
+        with pytest.raises(DataError, match="one boolean group flag"):
+            _raw(flags)
+
+    @pytest.mark.parametrize("flags", [[True] * 3, [False] * 3])
+    def test_rejects_empty_group(self, flags):
+        with pytest.raises(DataError, match="at least one row"):
+            _raw(flags)
+
+    def test_rejects_equal_labels(self):
+        with pytest.raises(DataError, match="both groups are labeled 'a'"):
+            _raw([True, False, True], label_b="a")
 
 
 class TestGroupedData:
@@ -336,6 +376,10 @@ class TestGroupedData:
     def test_rejects_empty_group(self, flags):
         with pytest.raises(DataError, match="at least one row"):
             GroupedData(np.zeros((3, 2)), np.array(flags), "a", "b")
+
+    def test_rejects_equal_labels(self):
+        with pytest.raises(DataError, match="both groups are labeled 'a'"):
+            GroupedData(np.zeros((3, 2)), np.array([True, False, True]), "a", "a")
 
     def test_groups_are_masked_rows_in_file_order(self):
         labels = list("baabbaba")  # the first-seen group is "b"
@@ -393,8 +437,12 @@ class TestCenterAndSplit:
         assert np.array_equal(g.x, feats - feats.mean(axis=0))
 
     def test_single_group_rejected(self):
-        with pytest.raises(DataError, match="2 groups"):
-            center_and_split(make_table([[1.0], [2.0]], ["a", "a"]))
+        # a table whose rows all fall in one group cannot be built, so
+        # none reaches the split
+        with pytest.raises(DataError, match="at least one row"):
+            center_and_split(
+                RawTable(np.array([[1.0], [2.0]]), np.ones(2, bool), "a", "b", ("f0",), "group")
+            )
 
 
 class TestLoadGrouped:

@@ -289,6 +289,18 @@ class TestUFpca:
         assert fit.alpha == 1.0
         assert fit.metrics.fairness == 0.0
 
+    def test_fairest_at_tiny_scale(self):
+        # at 2^-300 every squared disparity underflows to 0; the fit must
+        # still be the candidate nearest fair, as it is unscaled
+        g = random_grouped(np.random.default_rng(2), 200, 100, 6)
+        s = search(dataclasses.replace(g, x=g.x * 2.0**-300), 2)
+        candidates, _ = s.roots
+        assert len(candidates) == 3
+        assert all(p.metrics.fairness == 0.0 for p in candidates)
+        fit = s.ufpca()
+        assert abs(fit.metrics.disparity) == min(abs(p.metrics.disparity) for p in candidates)
+        assert fit.alpha == pytest.approx(u_fpca(g, 2).alpha, abs=s.tol)
+
     def test_metrics_recomputable(self, s1_grouped):
         g = s1_grouped
         fit = u_fpca(g, 1)
@@ -582,6 +594,18 @@ class TestFairFitResultValidation:
             FairFitResult(
                 method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
                 privileged="a", harmed="b", budget=1.0,
+            )
+
+    def test_constrained_rejects_violation_of_a_tiny_budget(self):
+        # the slack is relative: an error twice a 1e-12 budget is a violation
+        u = np.array([[1.0], [0.0]])
+        from fairdim.metrics import GroupMetrics
+
+        m = GroupMetrics(1e-12, 2e-12, 1e-12, -1e-12, 1e-24)
+        with pytest.raises(ValueError, match="budget"):
+            FairFitResult(
+                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
+                privileged="a", harmed="b", budget=1e-12,
             )
 
     def test_rejects_skewed_projection(self):
