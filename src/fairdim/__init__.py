@@ -1,7 +1,7 @@
 """Group-fair PCA: projections trading overall reconstruction error against
 the error gap between two sensitive groups."""
 
-from .dataset import DataError, GroupedData, RawTable, balance, center_and_split, load_grouped, load_table
+from .dataset import DataError, RawTable, balance, load_grouped, load_table
 from .linalg import LinalgError
 from .metrics import GroupMetrics, Moments, moment_metrics
 from .fairpca import (

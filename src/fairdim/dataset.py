@@ -1,4 +1,4 @@
-"""Loading, centering, group-splitting and balancing of two-group tables.
+"""Loading and balancing of two-group tables.
 
 The on-disk contract is a UTF-8 CSV with one header row, comma delimiter
 and ``.`` decimal point. One column (selected by exact header name) holds
@@ -15,9 +15,9 @@ gives the same values bit for bit and raises the same errors, naming the
 line and column of the first bad cell.
 
 The groups are decided once, at load: the first-seen label is group a,
-and every record after that (``RawTable``, then ``GroupedData``) holds a
-bool mask that is True on its rows, plus the two labels. No record keeps
-a label per row, so nothing after the load reads one.
+and the ``RawTable`` holds a bool mask that is True on its rows, plus the
+two labels. No record keeps a label per row, so nothing after the load
+reads one. The table stays uncentered; ``fairpca.prepare`` centers it.
 """
 
 from __future__ import annotations
@@ -32,29 +32,15 @@ import numpy as np
 __all__ = [
     "DataError",
     "RawTable",
-    "GroupedData",
     "load_table",
     "write_table",
     "balance",
-    "center_and_split",
     "load_grouped",
 ]
-
-_CENTER_TOL = 1e-6  # max |column sum| per row and unit of column scale
 
 
 class DataError(ValueError):
     """The input table violates the loader's schema contract."""
-
-
-def _check_groups(in_a: np.ndarray, n: int, label_a: str, label_b: str) -> None:
-    """The group invariants ``RawTable`` and ``GroupedData`` share."""
-    if in_a.dtype != bool or in_a.shape != (n,):
-        raise DataError("one boolean group flag required per row")
-    if in_a.all() or not in_a.any():
-        raise DataError("each group needs at least one row")
-    if label_a == label_b:
-        raise DataError(f"both groups are labeled {label_a!r}")
 
 
 @dataclass(frozen=True)
@@ -77,51 +63,14 @@ class RawTable:
     def __post_init__(self):
         if self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
-        _check_groups(self.in_a, self.features.shape[0], self.label_a, self.label_b)
+        if self.in_a.dtype != bool or self.in_a.shape != self.features.shape[:1]:
+            raise DataError("one boolean group flag required per row")
+        if self.in_a.all() or not self.in_a.any():
+            raise DataError("each group needs at least one row")
+        if self.label_a == self.label_b:
+            raise DataError(f"both groups are labeled {self.label_a!r}")
         if len(self.feature_names) != self.features.shape[1]:
             raise DataError("one name required per feature column")
-
-
-@dataclass(frozen=True)
-class GroupedData:
-    """Centered rows in file order, with a mask marking the first group's.
-
-    ``in_a`` is True on the rows of ``label_a``, the first-seen group, and
-    False on those of ``label_b``. The rows are stored once: ``x_a``,
-    ``x_b`` and the counts are worked out from ``x`` and ``in_a`` on each
-    access. Which group is privileged is decided later, against a fitted
-    projection, never here.
-    """
-
-    x: np.ndarray     # (n, d), centered, file order
-    in_a: np.ndarray  # (n,) bool, True on the rows of label_a
-    label_a: str
-    label_b: str
-
-    def __post_init__(self):
-        _check_groups(self.in_a, self.x.shape[0], self.label_a, self.label_b)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_a(self) -> int:
-        return int(np.count_nonzero(self.in_a))
-
-    @property
-    def n_b(self) -> int:
-        return self.n - self.n_a
-
-    @property
-    def x_a(self) -> np.ndarray:
-        """The rows of ``label_a``, in file order (a fresh copy)."""
-        return self.x[self.in_a]
-
-    @property
-    def x_b(self) -> np.ndarray:
-        """The rows of ``label_b``, in file order (a fresh copy)."""
-        return self.x[~self.in_a]
 
 
 def load_table(path, sensitive_column: str) -> RawTable:
@@ -329,26 +278,7 @@ def balance(table: RawTable) -> RawTable:
     return replace(table, features=table.features[keep], in_a=in_a[keep])
 
 
-def center_and_split(table: RawTable) -> GroupedData:
-    """Subtract each column's global mean; the group mask and labels pass through.
-
-    The mean is always taken over all rows of the (possibly balanced)
-    table, not per group; balancing must therefore happen before this
-    step, since dropping rows moves the mean.
-    """
-    x = table.features - table.features.mean(axis=0)
-    grouped = GroupedData(x=x, in_a=table.in_a, label_a=table.label_a, label_b=table.label_b)
-    # round-off in the mean and the subtraction grows with the column's
-    # largest magnitude, so the bound scales with it
-    scale = np.maximum(table.features.max(axis=0), -table.features.min(axis=0))
-    if np.any(np.abs(x.sum(axis=0)) > _CENTER_TOL * grouped.n * scale):
-        raise DataError("centering failed: column sums exceed tolerance")
-    return grouped
-
-
-def load_grouped(path, sensitive_column: str, balanced: bool = False) -> GroupedData:
-    """Load, optionally balance, then center and split."""
+def load_grouped(path, sensitive_column: str, balanced: bool = False) -> RawTable:
+    """Load, then optionally balance."""
     table = load_table(path, sensitive_column)
-    if balanced:
-        table = balance(table)
-    return center_and_split(table)
+    return balance(table) if balanced else table

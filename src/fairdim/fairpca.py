@@ -26,13 +26,13 @@ bisection starts with alpha = 1 as its upper end and only ever replaces
 that end by a point that meets the cap, so its answer always does too.
 
 Everything a fit needs from the data is its three d x d second moments
-and the plain-PCA eigenvectors. ``prepare`` computes both once and keeps
-only them and the two group labels, so no step after it touches the
-n x d rows: ``weighted_covariance`` blends the moments, ``sym_eig_top_r``
-projects, and ``metrics.moment_metrics`` scores. ``prepare`` is also the
-one numeric gate: once C, D and the squared traces are finite, every
-blend is finite and bitwise symmetric by construction, so the per-alpha
-eigensolve checks nothing.
+and the plain-PCA eigenvectors. ``prepare`` centers the table's rows,
+computes both once and keeps only them and the two group labels, so no
+step after it touches the n x d rows: ``weighted_covariance`` blends the
+moments, ``sym_eig_top_r`` projects, and ``metrics.moment_metrics``
+scores. ``prepare`` is also the one numeric gate: once C, D and the
+squared traces are finite, every blend is finite and bitwise symmetric
+by construction, so the per-alpha eigensolve checks nothing.
 
 ``search(data, r, tol)`` returns the ``Search`` record that the three fits
 at one rank share: plain PCA, the moments in the roles it sets, and a
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import GroupedData
+from .dataset import DataError, RawTable
 from .linalg import LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import GroupMetrics, Moments, moment_metrics
 
@@ -69,6 +69,7 @@ __all__ = [
 
 # Relative slack allowed when verifying a constrained fit against its error budget.
 _BUDGET_SLACK = 1e-9
+_CENTER_TOL = 1e-6  # max |centered column sum| per row and unit of column scale
 
 METHOD_PCA = "pca"
 METHOD_UFPCA = "ufpca"
@@ -131,19 +132,29 @@ class Prepared:
         return self.pca_vectors.shape[1]
 
 
-def prepare(g: GroupedData, max_rank: int) -> Prepared:
-    """Second moments plus one plain-PCA eigendecomposition up to ``max_rank``.
+def prepare(table: RawTable, max_rank: int) -> Prepared:
+    """Center the columns on their means over all rows, then take the second
+    moments and one plain-PCA eigendecomposition up to ``max_rank``.
 
-    Raises ``LinalgError`` unless C, C_b - C_a and the squared traces are
-    finite. Each group error lies in [0, tr_k], so the last check keeps
-    every fairness (a squared error gap) finite too.
+    Raises ``DataError`` if a column sum overflows, and ``LinalgError``
+    unless C, C_b - C_a and the squared traces are finite. Each group error
+    lies in [0, tr_k], so the last check keeps every fairness finite too.
     """
-    _check_rank(max_rank, g.x.shape[1])
+    f, in_a = table.features, table.in_a
+    n = f.shape[0]
+    _check_rank(max_rank, f.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
+        x = f - f.mean(axis=0)
+        # round-off in the mean and the subtraction grows with the column's
+        # largest magnitude, so the bound scales with it
+        scale = np.maximum(f.max(axis=0), -f.min(axis=0))
+        if np.any(np.abs(x.sum(axis=0)) > _CENTER_TOL * n * scale):
+            raise DataError("centering failed: column sums exceed tolerance")
+        n_a = int(np.count_nonzero(in_a))
         moments = Moments(
-            c=scaled_gram(g.x, g.n),
-            c_a=scaled_gram(g.x_a, g.n_a),
-            c_b=scaled_gram(g.x_b, g.n_b),
+            c=scaled_gram(x, n),
+            c_a=scaled_gram(x[in_a], n_a),
+            c_b=scaled_gram(x[~in_a], n - n_a),
         )
         finite = (
             np.isfinite(np.square([moments.tr, moments.tr_a, moments.tr_b])).all()
@@ -156,7 +167,7 @@ def prepare(g: GroupedData, max_rank: int) -> Prepared:
             "(or the features hold NaN/Inf); rescale the features"
         )
     return Prepared(
-        (g.label_a, g.label_b), moments, sym_eig_top_r(moments.c, max_rank).vectors
+        (table.label_a, table.label_b), moments, sym_eig_top_r(moments.c, max_rank).vectors
     )
 
 
@@ -298,19 +309,18 @@ class Search:
         )
 
 
-def search(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> Search:
-    """The ``Search`` at rank r of the dataset or its ``Prepared`` form.
+def search(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> Search:
+    """The ``Search`` at rank r of the table or its ``Prepared`` form.
     ``tol`` is the alpha bracket's final width and must be > 0."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(data, Prepared):
-        _check_rank(r, data.max_rank)
-    else:
+    if not isinstance(data, Prepared):
         data = prepare(data, r)
+    _check_rank(r, data.max_rank)
     return Search(*_plain(data, r), tol)
 
 
-def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
+def classical_pca(data: RawTable | Prepared, r: int) -> FairFitResult:
     """Top-r eigenvectors of the plain covariance, with group metrics.
 
     Roles are assigned from this projection's own per-group errors, so
@@ -319,13 +329,13 @@ def classical_pca(data: GroupedData | Prepared, r: int) -> FairFitResult:
     return search(data, r).pca
 
 
-def u_fpca(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
+def u_fpca(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
     """Unconstrained fair fit: the alpha minimizing the squared disparity,
     found by bisecting on its sign (``Search.roots``)."""
     return search(data, r, tol).ufpca()
 
 
-def c_fpca(data: GroupedData | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
+def c_fpca(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
     """Constrained fair fit: like u_fpca, but neither group's error may
     exceed the harmed group's plain-PCA error."""
     return search(data, r, tol).cfpca()

@@ -32,7 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupMetrics:
-    """All per-fit measures, with group a = privileged, group b = harmed."""
+    """All per-fit measures, with group a = privileged, group b = harmed.
+    ``fairness`` is ``disparity`` squared and correctly rounded to float64,
+    so it is 0 or subnormal once ``|disparity|`` is below about 1.5e-154."""
 
     overall_err: float
     err_a: float
@@ -47,7 +49,7 @@ class Moments:
 
     ``c`` is X'X/n, and ``c_a``/``c_b`` are the groups' X_k'X_k/n_k, each
     with its trace. ``fairpca.prepare`` builds them with the first-seen
-    group (``GroupedData.in_a``) as ``a``; plain PCA's fit swaps them once,
+    group (``RawTable.in_a``) as ``a``; plain PCA's fit swaps them once,
     if at all, so that ``a`` is the privileged group for the whole fit.
     """
 

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
-from .dataset import DataError, GroupedData
-from .fairpca import FairFitResult, Search, prepare, search
+from .dataset import DataError, RawTable
+from .fairpca import FairFitResult, Prepared, Search, prepare, search
 from .metrics import GroupMetrics
 
 __all__ = [
@@ -74,15 +74,15 @@ def fit_one(s: Search, method: str) -> tuple[FairFitResult, int]:
 
 
 def run_sweep(
-    g: GroupedData, max_rank: int, tol: float, dataset_id: str, balanced: bool
+    data: RawTable | Prepared, max_rank: int, tol: float, dataset_id: str, balanced: bool
 ) -> SweepReport:
     """Fit all methods for every rank 1..max_rank, in (rank, method) order.
 
     The second moments and the one plain-PCA eigendecomposition serving
-    every rank are computed once, before the first cell. Each rank then
-    builds one ``Search``, and its three cells share it.
+    every rank are computed once, before the first cell, if ``data`` is a
+    table. Each rank then builds one ``Search``, and its three cells share it.
     """
-    p = prepare(g, max_rank)
+    p = data if isinstance(data, Prepared) else prepare(data, max_rank)
     searches = (search(p, r, tol) for r in range(1, max_rank + 1))
     cells = [fit_one(s, method) for s in searches for method in METHODS]
     rows = tuple(
@@ -98,9 +98,9 @@ def run_sweep(
 
 
 def fit_record(fit: FairFitResult) -> dict:
-    """JSON-ready record for a single fit; the projection rides along so
-    the output is directly usable for transforming new data. The group
-    role labels close the record."""
+    """JSON-ready record for a single fit, closed by the group role labels.
+    Its projection applies to centered rows: a new row needs the training
+    table's column means subtracted first, and the record does not hold them."""
     return {
         "method": fit.method,
         "rank": int(fit.u.shape[1]),
@@ -140,8 +140,8 @@ def _field(rec: dict, key: str):
 
 
 def read_report_jsonl(path) -> SweepReport:
-    """Parse a JSONL report, validating each field's type, the method tags
-    and that every record names the same ``dataset_id`` and ``balanced``."""
+    """Parse a JSONL report, validating each field's type, the method tags,
+    ranks from 1, one row per (rank, method) and one report per file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -151,7 +151,7 @@ def read_report_jsonl(path) -> SweepReport:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     header = None
-    rows = []
+    rows = {}  # (r, method) -> row, in file order
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -162,7 +162,7 @@ def read_report_jsonl(path) -> SweepReport:
         try:
             if rec["method"] not in METHODS:
                 raise DataError(f"{path}:{lineno}: unknown method {rec['method']!r}")
-            rows.append({k: _field(rec, k) for k in ROW_FIELDS})
+            row = {k: _field(rec, k) for k in ROW_FIELDS}
             this = (_field(rec, "dataset_id"), _field(rec, "balanced"))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: malformed report line: {exc}") from exc
@@ -170,7 +170,13 @@ def read_report_jsonl(path) -> SweepReport:
             header = this
         elif this != header:
             raise DataError(f"{path}:{lineno}: mixed reports: {this} after {header}")
-    return SweepReport(*(header or ("", False)), tuple(rows))
+        if row["r"] < 1:
+            raise DataError(f"{path}:{lineno}: rank {row['r']} is below 1")
+        cell = (row["r"], row["method"])
+        if cell in rows:
+            raise DataError(f"{path}:{lineno}: repeated cell r={cell[0]} method={cell[1]!r}")
+        rows[cell] = row
+    return SweepReport(*(header or ("", False)), tuple(rows.values()))
 
 
 def write_plot_series(report: SweepReport, out_dir) -> list[Path]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairdim.dataset import RawTable, center_and_split, write_table
+from fairdim.dataset import RawTable, write_table
 from fairdim.linalg import LinalgError
 from fairdim.synth import s1_table
 
@@ -78,14 +78,21 @@ def row_labels(table: RawTable) -> tuple[str, ...]:
     return tuple(table.label_a if flag else table.label_b for flag in table.in_a)
 
 
-def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int):
-    """Centered two-group dataset with distinct group covariances."""
+def centered(table: RawTable) -> np.ndarray:
+    """The table's rows minus each column's mean over all rows: the
+    reference for the rows ``fairpca.prepare`` takes its moments of."""
+    return table.features - table.features.mean(axis=0)
+
+
+def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int) -> RawTable:
+    """Two-group table, ``n_a`` rows of "a" then ``n_b`` of "b", with
+    distinct group covariances."""
     stretch = np.linspace(1.0, 3.0, d)
     xa = rng.standard_normal((n_a, d)) * stretch
     xb = rng.standard_normal((n_b, d)) * stretch[::-1]
     feats = np.vstack([xa, xb])
     labels = ["a"] * n_a + ["b"] * n_b
-    return center_and_split(make_table(feats, labels))
+    return make_table(feats, labels)
 
 
 def count_solves(monkeypatch) -> list:
@@ -103,7 +110,7 @@ def count_solves(monkeypatch) -> list:
 
 @pytest.fixture(scope="session")
 def s1_grouped():
-    return center_and_split(s1_table())
+    return s1_table()
 
 
 @pytest.fixture()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fairdim import cli
-from fairdim.dataset import balance, center_and_split, load_grouped, load_table
+from fairdim.dataset import balance, load_grouped, load_table
 from fairdim.fairpca import (
     c_fpca,
     classical_pca,
@@ -25,6 +25,7 @@ from fairdim.synth import s1_table
 
 from conftest import (
     avg_reconstruction_error_direct,
+    centered,
     eig2x2_values,
     rand_symmetric,
     random_grouped,
@@ -56,8 +57,10 @@ def _grid_roles(g, r):
     """Plain PCA, the privileged and harmed rows it implies, and the
     blend's two terms computed from those rows."""
     pca = classical_pca(g, r)
-    x_priv, x_harm = (g.x_a, g.x_b) if pca.privileged == g.label_a else (g.x_b, g.x_a)
-    c_x = scaled_gram(g.x, g.n)
+    x = centered(g)
+    x_a, x_b = x[g.in_a], x[~g.in_a]
+    x_priv, x_harm = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
+    c_x = scaled_gram(x, x.shape[0])
     delta = scaled_gram(x_harm, x_harm.shape[0]) - scaled_gram(x_priv, x_priv.shape[0])
     return pca, (x_priv, x_harm), c_x, delta
 
@@ -106,7 +109,7 @@ def test_criterion_2_pca_optimality():
         n_a = int(rng.integers(1, n))
         g = random_grouped(rng, n_a, n - n_a, d)
         u = classical_pca(g, r).u
-        c_x = scaled_gram(g.x, g.n)
+        c_x = scaled_gram(centered(g), n)
         ours = float(np.trace(u.T @ c_x @ u))
         qs = np.linalg.qr(rng.standard_normal((1000, d, d)))[0][:, :, :r]
         competitors = np.einsum("qdr,de,qer->q", qs, c_x, qs)
@@ -117,13 +120,13 @@ def test_criterion_2_pca_optimality():
 
 
 def test_criterion_3_alpha_one_reduction():
-    datasets = [center_and_split(s1_table())]
+    datasets = [s1_table()]
     rng = np.random.default_rng(20242)
     for _ in range(5):
         d = int(rng.integers(3, 7))
         datasets.append(random_grouped(rng, int(rng.integers(5, 40)), int(rng.integers(5, 40)), d))
     for g in datasets:
-        d = g.x.shape[1]
+        d = g.features.shape[1]
         for r in range(1, d + 1):
             u_pca = classical_pca(g, r).u
             u_fair = sym_eig_top_r(weighted_covariance(prepare(g, r).moments, 1.0), r).vectors
@@ -133,7 +136,7 @@ def test_criterion_3_alpha_one_reduction():
 
 
 def test_criterion_4_sign_convention_pin():
-    g = center_and_split(s1_table())
+    g = s1_table()
     pca, rows, c_x, delta = _grid_roles(g, 1)
     d1 = _disparity(rows, pca.u)
     assert d1 > 0.0
@@ -154,7 +157,7 @@ def test_criterion_4_sign_convention_pin():
 def test_criterion_5_search_matches_grid_oracle():
     start = time.monotonic()
     for seed in S1_VARIANT_SEEDS:
-        g = center_and_split(s1_table(seed))
+        g = s1_table(seed)
         _, rows, c_x, delta = _grid_roles(g, 1)
         grid_f = []
         for a in np.linspace(0.0, 1.0, 1001):
@@ -171,7 +174,7 @@ def test_criterion_5_search_matches_grid_oracle():
 
 
 def test_criterion_6_constrained_fit_contract():
-    instances = [(center_and_split(s1_table(seed)), 1) for seed in S1_VARIANT_SEEDS]
+    instances = [(s1_table(seed), 1) for seed in S1_VARIANT_SEEDS]
     rng = np.random.default_rng(20243)
     for _ in range(10):
         d = int(rng.integers(3, 7))
@@ -189,7 +192,7 @@ def test_criterion_6_constrained_fit_contract():
 
 
 def test_criterion_7_method_ordering_synthetic():
-    g = center_and_split(s1_table())
+    g = s1_table()
     pca = classical_pca(g, 1)
     uf = u_fpca(g, 1)
     cf = c_fpca(g, 1)
@@ -205,7 +208,7 @@ def test_criterion_7_method_ordering_real(name):
     path, col, _ = _real_dataset(name)
     start = time.monotonic()
     g = load_grouped(path, col)
-    for r in range(1, min(10, g.x.shape[1]) + 1):
+    for r in range(1, min(10, g.features.shape[1]) + 1):
         pca = classical_pca(g, r)
         uf = u_fpca(g, r)
         cf = c_fpca(g, r)

@@ -1,16 +1,22 @@
+import ast
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairdim import cli, fairpca, report
-from fairdim.dataset import balance, center_and_split, load_table
+from fairdim.dataset import balance, load_table, write_table
 from fairdim.linalg import LinalgError
 from fairdim.report import read_report_jsonl, run_sweep
+from fairdim.synth import s1_table
 
-from conftest import count_solves
+from conftest import centered, count_solves
 
 
 def run_cli(*argv):
@@ -103,13 +109,21 @@ class TestFit:
         record = json.loads(capsys.readouterr().out)
         from fairdim.fairpca import classical_pca
 
-        g = center_and_split(balance(load_table(path, "group")))
+        g = balance(load_table(path, "group"))
         expected = classical_pca(g, 2)
         assert record["overall_err"] == expected.metrics.overall_err
         assert record["err_a"] == expected.metrics.err_a
 
 
 class TestSweep:
+    def test_sweep_of_prepared_table(self, s1_csv):
+        table = load_table(s1_csv, "group")
+        p = fairpca.prepare(table, 2)
+        by_table = run_sweep(table, 2, 1e-6, "s1", False)
+        assert run_sweep(p, 2, 1e-6, "s1", False).rows == by_table.rows
+        with pytest.raises(LinalgError, match="rank"):
+            run_sweep(fairpca.prepare(table, 1), 2, 1e-6, "s1", False)
+
     def test_full_rank_zero_error(self, s1_csv, capsys):
         assert run_cli(
             "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
@@ -192,8 +206,8 @@ class TestSweep:
         ) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         # reference: library pipeline on the balanced 3+3 table
-        g = center_and_split(balance(load_table(path, "group")))
-        assert (g.n_a, g.n_b) == (3, 3)
+        g = balance(load_table(path, "group"))
+        assert np.count_nonzero(g.in_a) == np.count_nonzero(~g.in_a) == 3
         expected = run_sweep(g, 2, 1e-6, "toy", True)
         for rec, row in zip(rows, expected.rows):
             assert rec["balanced"] is True
@@ -408,6 +422,25 @@ class TestPlotdata:
                            "--out-dir", str(tmp_path / "plots")) == 2
             assert f"{path}:2: mixed reports" in capsys.readouterr().err
 
+    def test_rank_below_one(self, tmp_path, capsys):
+        # r = 0 used to be plotted at rank 0
+        for r in (0, -1):
+            assert self.plot(tmp_path, {**self.GOOD, "r": r}) == 2
+            path = tmp_path / "report.jsonl"
+            assert f"{path}:1: rank {r} is below 1" in capsys.readouterr().err
+
+    def test_repeated_cell(self, s1_csv, tmp_path, capsys):
+        # one report written twice used to plot every point twice
+        once = tmp_path / "once.jsonl"
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "2", "--output", str(once)) == 0
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text(once.read_text(encoding="utf-8") * 2, encoding="utf-8")
+        plots = tmp_path / "plots"
+        assert run_cli("plotdata", "--report", str(twice), "--out-dir", str(plots)) == 2
+        assert f"{twice}:7: repeated cell r=1 method='pca'" in capsys.readouterr().err
+        assert not plots.exists()
+
 
 class TestExitCodes:
     def test_bad_flags(self, s1_csv):
@@ -469,6 +502,21 @@ class TestExitCodes:
         assert err.startswith("fairdim: numeric error: second moments or their squares")
         assert "overflow float64" in err
 
+    def test_centering_overflow(self, tmp_path, capsys):
+        # the column sum of 1.7e308s overflows: one error line, no numpy warnings
+        path = tmp_path / "over.csv"
+        path.write_text(
+            "x1,x2,group\n1.7e308,1,a\n1.7e308,2,a\n1e308,3,b\n1.5e308,4,b\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--input", str(path), "--sensitive-col", "group",
+                           "--method", "pca", "--rank", "1") == 2
+        assert capsys.readouterr().err == (
+            "fairdim: data error: centering failed: column sums exceed tolerance\n"
+        )
+
     def test_numeric_failure(self, s1_csv, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise LinalgError("synthetic numeric failure")
@@ -519,9 +567,10 @@ class TestSharedWork:
 
         # roles are those of plain PCA at the same rank, by explicit residual
         g = load_grouped(wide_csv, "group")
-        u = np.linalg.eigh(g.x.T @ g.x)[1][:, ::-1][:, :2]
-        err_a = avg_reconstruction_error_direct(g.x_a, u)
-        err_b = avg_reconstruction_error_direct(g.x_b, u)
+        x = centered(g)
+        u = np.linalg.eigh(x.T @ x)[1][:, ::-1][:, :2]
+        err_a = avg_reconstruction_error_direct(x[g.in_a], u)
+        err_b = avg_reconstruction_error_direct(x[~g.in_a], u)
         assert err_a != pytest.approx(err_b)
         expected = (g.label_a, g.label_b) if err_a < err_b else (g.label_b, g.label_a)
         assert (record["privileged"], record["harmed"]) == expected
@@ -592,3 +641,34 @@ def test_fit_matches_sweep_cell(method, toy_csv, capsys):
     (cell,) = [row for row in rows if row["r"] == 2 and row["method"] == method]
     for key in ("alpha", "overall_err", "err_a", "err_b", "disparity", "fairness"):
         assert fit[key] == cell[key], key
+
+
+def _bench_setup_code() -> str:
+    """``_SETUP_CODE`` from the benchmark's runner, read without importing it."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(
+        encoding="utf-8"
+    )
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_SETUP_CODE"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no _SETUP_CODE")
+
+
+@pytest.mark.parametrize("groups, balanced", [("unbalanced", "1"), ("balanced", "0")])
+def test_benchmark_setup_code_runs(groups, balanced, tmp_path):
+    # every benchmark run times this code in a fresh interpreter, so a
+    # renamed or re-signed fairdim.cli.load_grouped breaks all of them
+    table = s1_table()
+    if groups == "balanced":
+        table = balance(table)
+    path = tmp_path / f"{groups}.csv"
+    write_table(table, path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _bench_setup_code(), str(path), "group", balanced],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 import fairdim.dataset as dataset_module
 from fairdim.dataset import (
     DataError,
-    GroupedData,
     RawTable,
     balance,
-    center_and_split,
     load_grouped,
     load_table,
     write_table,
 )
+from fairdim.fairpca import prepare
+from fairdim.linalg import scaled_gram
+from fairdim.metrics import Moments
 
-from conftest import make_table, row_labels
+from conftest import centered, make_table, row_labels
 
 
 def write_csv(path, text):
@@ -360,70 +361,75 @@ class TestRawTable:
             _raw([True, False, True], label_b="a")
 
 
-class TestGroupedData:
-    def test_fields(self):
-        names = [f.name for f in dataclasses.fields(GroupedData)]
-        assert names == ["x", "in_a", "label_a", "label_b"]
+def _moments_bytes(m):
+    return m.c.tobytes(), m.c_a.tobytes(), m.c_b.tobytes()
 
-    @pytest.mark.parametrize(
-        "flags", [[True, False], [True, False, True, False], [1, 0, 1]]
+
+def _reference_moments(table):
+    """The moments of ``centered(table)`` and its two masked row groups."""
+    x = centered(table)
+    n_a = int(np.count_nonzero(table.in_a))
+    return Moments(
+        c=scaled_gram(x, x.shape[0]),
+        c_a=scaled_gram(x[table.in_a], n_a),
+        c_b=scaled_gram(x[~table.in_a], x.shape[0] - n_a),
     )
-    def test_rejects_flags_not_one_bool_per_row(self, flags):
-        with pytest.raises(DataError, match="one boolean group flag"):
-            GroupedData(np.zeros((3, 2)), np.array(flags), "a", "b")
-
-    @pytest.mark.parametrize("flags", [[True] * 3, [False] * 3])
-    def test_rejects_empty_group(self, flags):
-        with pytest.raises(DataError, match="at least one row"):
-            GroupedData(np.zeros((3, 2)), np.array(flags), "a", "b")
-
-    def test_rejects_equal_labels(self):
-        with pytest.raises(DataError, match="both groups are labeled 'a'"):
-            GroupedData(np.zeros((3, 2)), np.array([True, False, True]), "a", "a")
-
-    def test_groups_are_masked_rows_in_file_order(self):
-        labels = list("baabbaba")  # the first-seen group is "b"
-        g = center_and_split(make_table(np.arange(16.0).reshape(8, 2), labels))
-        assert (g.label_a, g.label_b) == ("b", "a")
-        assert g.in_a.tolist() == [lab == "b" for lab in labels]
-        assert g.x_a.tobytes() == g.x[g.in_a].tobytes() == g.x[[0, 3, 4, 6]].tobytes()
-        assert g.x_b.tobytes() == g.x[~g.in_a].tobytes() == g.x[[1, 2, 5, 7]].tobytes()
-        assert (g.n, g.n_a, g.n_b) == (8, 4, 4)
 
 
 class TestCenterAndSplit:
+    """``prepare`` centers the table on its global column means and splits
+    the centered rows by the group mask."""
+
     def test_mean_removal(self):
-        g = center_and_split(make_table([[2.0], [0.0]], ["a", "b"]))
-        assert np.array_equal(g.x, [[1.0], [-1.0]])
-        assert np.array_equal(g.x_a, [[1.0]])
-        assert np.array_equal(g.x_b, [[-1.0]])
+        # centered rows are [1] (a) and [-1] (b); uncentered, c_a would be 4
+        m = prepare(make_table([[2.0], [0.0]], ["a", "b"]), 1).moments
+        assert np.array_equal(m.c, [[1.0]])
+        assert np.array_equal(m.c_a, [[1.0]])
+        assert np.array_equal(m.c_b, [[1.0]])
 
     def test_idempotent_on_centered(self):
         feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        g = center_and_split(make_table(feats, ["a", "b"]))
-        assert np.array_equal(g.x, feats)
+        m = prepare(make_table(feats, ["a", "b"]), 1).moments
+        assert m.c.tobytes() == scaled_gram(feats, 2).tobytes()
+        assert m.c_a.tobytes() == scaled_gram(feats[:1], 1).tobytes()
+        assert m.c_b.tobytes() == scaled_gram(feats[1:], 1).tobytes()
 
     def test_hand_mean(self):
-        g = center_and_split(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]))
-        assert np.array_equal(g.x, [[-1.0], [0.0], [1.0]])
-        assert g.n_a == 2 and g.n_b == 1
-        assert (g.label_a, g.label_b) == ("a", "b")
+        # centered rows [-1], [0] (a) and [1] (b)
+        p = prepare(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]), 1)
+        assert np.array_equal(p.moments.c, [[2.0 / 3.0]])
+        assert np.array_equal(p.moments.c_a, [[0.5]])
+        assert np.array_equal(p.moments.c_b, [[1.0]])
+        assert p.labels == ("a", "b")
+
+    def test_groups_are_masked_rows_in_file_order(self):
+        labels = list("baabbaba")  # the first-seen group is "b"
+        table = make_table(np.arange(16.0).reshape(8, 2), labels)
+        assert table.in_a.tolist() == [lab == "b" for lab in labels]
+        p = prepare(table, 1)
+        assert p.labels == ("b", "a")
+        x = centered(table)
+        assert p.moments.c_a.tobytes() == scaled_gram(x[[0, 3, 4, 6]], 4).tobytes()
+        assert p.moments.c_b.tobytes() == scaled_gram(x[[1, 2, 5, 7]], 4).tobytes()
 
     def test_partition_is_row_permutation(self):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((12, 4))
         labels = list("abbaabababba")
-        g = center_and_split(make_table(feats, labels))
-        stacked = np.vstack([g.x_a, g.x_b])
-        # same multiset of rows: sort both lexicographically and compare
-        key = lambda m: m[np.lexsort(m.T)]
-        assert np.allclose(key(stacked), key(g.x))
+        table = make_table(feats, labels)
+        m = prepare(table, 1).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
+        # the two groups together hold every centered row exactly once
+        n_a = labels.count("a")
+        assert np.allclose(n_a * m.c_a + (12 - n_a) * m.c_b, 12 * m.c)
 
     def test_columns_sum_to_zero(self):
         rng = np.random.default_rng(9)
         feats = rng.standard_normal((50, 6)) * 100.0 + 17.0
-        g = center_and_split(make_table(feats, ["a"] * 30 + ["b"] * 20))
-        assert np.max(np.abs(g.x.sum(axis=0))) <= 1e-6 * g.n
+        table = make_table(feats, ["a"] * 30 + ["b"] * 20)
+        m = prepare(table, 1).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
+        assert np.max(np.abs(centered(table).sum(axis=0))) <= 1e-6 * 50
 
     @pytest.mark.parametrize("offset", [1e9, 1e12])
     def test_large_magnitude_column(self, offset):
@@ -433,29 +439,34 @@ class TestCenterAndSplit:
             offset * (1.0 + 0.01 * rng.standard_normal(30000)),
             rng.standard_normal(30000),
         ])
-        g = center_and_split(make_table(feats, ["a"] * 20000 + ["b"] * 10000))
-        assert np.array_equal(g.x, feats - feats.mean(axis=0))
+        table = make_table(feats, ["a"] * 20000 + ["b"] * 10000)
+        m = prepare(table, 1).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
 
     def test_single_group_rejected(self):
         # a table whose rows all fall in one group cannot be built, so
         # none reaches the split
         with pytest.raises(DataError, match="at least one row"):
-            center_and_split(
-                RawTable(np.array([[1.0], [2.0]]), np.ones(2, bool), "a", "b", ("f0",), "group")
-            )
+            RawTable(np.array([[1.0], [2.0]]), np.ones(2, bool), "a", "b", ("f0",), "group")
 
 
 class TestLoadGrouped:
     def test_balance_applied_before_centering(self, toy_csv):
         feats = [[10.0], [20.0], [30.0], [1.0], [2.0]]
         path = toy_csv(feats, ["a", "a", "a", "b", "b"])
-        g = load_grouped(path, "group", balanced=True)
+        table = load_grouped(path, "group", balanced=True)
         # kept rows: 10, 20 (a) and 1, 2 (b); mean of the kept rows only
+        assert table.features[:, 0].tolist() == [10.0, 20.0, 1.0, 2.0]
+        assert table.in_a.tolist() == [True, True, False, False]
         kept = np.array([10.0, 20.0, 1.0, 2.0])
-        assert g.n_a == g.n_b == 2
-        assert np.allclose(np.sort(g.x[:, 0]), np.sort(kept - kept.mean()))
+        x = kept - kept.mean()
+        m = prepare(table, 1).moments
+        assert np.allclose(m.c, [[np.mean(x * x)]])
+        assert np.allclose(m.c_a, [[np.mean(x[:2] ** 2)]])
+        assert np.allclose(m.c_b, [[np.mean(x[2:] ** 2)]])
 
     def test_unbalanced_default(self, toy_csv):
         path = toy_csv([[1.0], [2.0], [3.0]], ["a", "a", "b"])
-        g = load_grouped(path, "group")
-        assert (g.n_a, g.n_b) == (2, 1)
+        table = load_grouped(path, "group")
+        assert table.in_a.tolist() == [True, True, False]
+        assert table.features[:, 0].tolist() == [1.0, 2.0, 3.0]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairdim.dataset import center_and_split
 from fairdim.fairpca import (
     FairFitResult,
     _bisect,
@@ -25,6 +24,7 @@ from fairdim.metrics import Moments, moment_metrics
 
 from conftest import (
     avg_reconstruction_error_direct,
+    centered,
     count_solves,
     make_table,
     random_grouped,
@@ -35,13 +35,9 @@ def projector_gap(u, v):
     return float(np.linalg.norm(u @ u.T - v @ v.T))
 
 
-def grouped_from(features, labels):
-    return center_and_split(make_table(features, labels))
-
-
 def identical_groups():
     # both groups hold the same two rows, so no disparity can exist
-    return grouped_from([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]], list("abab"))
+    return make_table([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]], list("abab"))
 
 
 def moments(g):
@@ -83,7 +79,7 @@ class TestClassicalPca:
         # variance 2 along axis 0, variance 1 along axis 1
         s2, s1 = np.sqrt(2.0), 1.0
         feats = [[s2, 0.0], [-s2, 0.0], [0.0, s1], [0.0, -s1]]
-        g = grouped_from(feats, list("aabb"))
+        g = make_table(feats, list("aabb"))
         fit = classical_pca(g, 1)
         assert np.allclose(np.abs(fit.u[:, 0]), [1.0, 0.0], atol=1e-12)
         # overall error equals the discarded eigenvalue of C_X = diag(1, 0.5)
@@ -99,7 +95,7 @@ class TestClassicalPca:
 
     def test_diagonal_45_degrees(self):
         feats = [[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]]
-        g = grouped_from(feats, list("abab"))
+        g = make_table(feats, list("abab"))
         fit = classical_pca(g, 1)
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(fit.u[:, 0], [s, s], atol=1e-12)
@@ -123,7 +119,7 @@ class TestWeightedCovariance:
     def test_alpha_one_is_plain_covariance(self):
         rng = np.random.default_rng(12)
         g = random_grouped(rng, 30, 20, 4)
-        assert np.array_equal(weighted_covariance(moments(g), 1.0), scaled_gram(g.x, g.n))
+        assert np.array_equal(weighted_covariance(moments(g), 1.0), scaled_gram(centered(g), 50))
 
     def test_alpha_zero_hand_case(self):
         out = weighted_covariance(HAND_MOMENTS, 0.0)
@@ -132,7 +128,7 @@ class TestWeightedCovariance:
     def test_identical_groups_scale_covariance(self):
         g = identical_groups()
         for alpha in (0.0, 0.3, 0.7, 1.0):
-            expected = alpha * scaled_gram(g.x, g.n)
+            expected = alpha * scaled_gram(centered(g), 4)
             assert np.array_equal(weighted_covariance(moments(g), alpha), expected)
 
     def test_rejects_alpha_outside_unit_interval(self):
@@ -204,7 +200,7 @@ class TestDisparityMonotone:
             x[:, 1] = x[:, 0]
         if constant:
             x[:, -1] = 3.0
-        g = grouped_from(x, ["a"] * n_a + ["b"] * n_b)
+        g = make_table(x, ["a"] * n_a + ["b"] * n_b)
         p = prepare(g, d)
         # full eigenbases on the grid per role order; rank r takes r columns
         bases = {}
@@ -284,7 +280,7 @@ class TestUFpca:
         # plain PCA fits this exactly; the second column is all zeros
         rng = np.random.default_rng(0)
         col = np.vstack([2.0 * rng.standard_normal((40, 1)), rng.standard_normal((30, 1))])
-        g = grouped_from(np.hstack([col, np.zeros((70, 1))]), ["a"] * 40 + ["b"] * 30)
+        g = make_table(np.hstack([col, np.zeros((70, 1))]), ["a"] * 40 + ["b"] * 30)
         fit = u_fpca(g, 1)
         assert fit.alpha == 1.0
         assert fit.metrics.fairness == 0.0
@@ -293,7 +289,7 @@ class TestUFpca:
         # at 2^-300 every squared disparity underflows to 0; the fit must
         # still be the candidate nearest fair, as it is unscaled
         g = random_grouped(np.random.default_rng(2), 200, 100, 6)
-        s = search(dataclasses.replace(g, x=g.x * 2.0**-300), 2)
+        s = search(dataclasses.replace(g, features=g.features * 2.0**-300), 2)
         candidates, _ = s.roots
         assert len(candidates) == 3
         assert all(p.metrics.fairness == 0.0 for p in candidates)
@@ -305,10 +301,10 @@ class TestUFpca:
         g = s1_grouped
         fit = u_fpca(g, 1)
         pca = classical_pca(g, 1)
-        x_privileged, x_harmed = (
-            (g.x_a, g.x_b) if pca.privileged == g.label_a else (g.x_b, g.x_a)
-        )
-        overall = avg_reconstruction_error_direct(g.x, fit.u)
+        x = centered(g)
+        x_a, x_b = x[g.in_a], x[~g.in_a]
+        x_privileged, x_harmed = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
+        overall = avg_reconstruction_error_direct(x, fit.u)
         gap = avg_reconstruction_error_direct(
             x_harmed, fit.u
         ) - avg_reconstruction_error_direct(x_privileged, fit.u)
@@ -493,7 +489,7 @@ class TestNumericGate:
     @pytest.mark.parametrize("scale", [1e200, 1e150])
     def test_overflow_rejected(self, scale):
         rng = np.random.default_rng(3)
-        g = grouped_from(scale * rng.standard_normal((8, 2)), list("aaaabbbb"))
+        g = make_table(scale * rng.standard_normal((8, 2)), list("aaaabbbb"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LinalgError, match="overflow float64"):
@@ -501,16 +497,16 @@ class TestNumericGate:
 
     def test_non_finite_rows_rejected(self):
         g = random_grouped(np.random.default_rng(4), 5, 5, 3)
-        x = g.x.copy()
+        x = g.features.copy()
         x[7, 1] = np.nan
-        bad = dataclasses.replace(g, x=x)
+        bad = dataclasses.replace(g, features=x)
         with pytest.raises(LinalgError, match="overflow float64"):
             prepare(bad, 1)
 
     def test_large_features_accepted(self):
         # 1e70 gives moments near 1e140 and fairness near 1e280: all finite
         rng = np.random.default_rng(5)
-        g = grouped_from(1e70 * rng.standard_normal((8, 2)), list("aaaabbbb"))
+        g = make_table(1e70 * rng.standard_normal((8, 2)), list("aaaabbbb"))
         for fit in (u_fpca(g, 1), c_fpca(g, 1)):
             assert np.isfinite(list(dataclasses.astuple(fit.metrics))).all()
             assert 0.0 <= fit.alpha <= 1.0
@@ -521,7 +517,7 @@ class TestPlainPcaRoles:
     @staticmethod
     def fit(a_scale, b_scale):
         rows = [[a_scale, 0.0], [-a_scale, 0.0], [0.0, b_scale], [0.0, -b_scale]]
-        return classical_pca(grouped_from(rows, list("aabb")), 1)
+        return classical_pca(make_table(rows, list("aabb")), 1)
 
     def test_first_group_favored(self):
         pca = self.fit(2.0, 1.0)  # plain PCA keeps x: group a exactly
@@ -541,7 +537,7 @@ class TestPlainPcaRoles:
         # both groups hold the same rows, so their errors tie exactly
         rows = [[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         for labels in ("ab" * 4, "ba" * 4):
-            g = grouped_from([row for row in rows for _ in "ab"], list(labels))
+            g = make_table([row for row in rows for _ in "ab"], list(labels))
             pca = classical_pca(g, 1)
             assert pca.metrics.err_a == pca.metrics.err_b == 0.5
             assert (pca.privileged, pca.harmed) == (labels[0], labels[1])
@@ -555,7 +551,8 @@ class TestRoleAssignment:
 
         g = random_grouped(np.random.default_rng(41), 40, 25, 5)
         if first_seen == "b":
-            g = grouped_from(np.vstack([g.x_b, g.x_a]), ["b"] * 25 + ["a"] * 40)
+            rows = np.vstack([g.features[~g.in_a], g.features[g.in_a]])
+            g = make_table(rows, ["b"] * 25 + ["a"] * 40)
         real = fairpca_module._plain
         calls = []
         monkeypatch.setattr(

@@ -1,17 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fairdim.linalg import LinalgError, scaled_gram
 from fairdim.metrics import Moments, moment_metrics
 from fairdim.fairpca import classical_pca, prepare
+from fairdim.report import run_sweep
 
 from conftest import (
     avg_reconstruction_error_direct,
+    centered,
     make_table,
     rand_orthonormal,
     random_grouped,
 )
-from fairdim.dataset import center_and_split
 
 
 def moments_of(x_a, x_b):
@@ -139,7 +142,7 @@ class TestMetricProperties:
             g = random_grouped(rng, 20, 15, 4)
             u = rand_orthonormal(rng, 4, 2)
             m = moment_metrics(prepare(g, 1).moments, u)
-            mix = (g.n_a * m.err_a + g.n_b * m.err_b) / g.n
+            mix = (20 * m.err_a + 15 * m.err_b) / 35
             assert m.overall_err == pytest.approx(mix, rel=1e-9)
             assert m.fairness == pytest.approx(m.disparity**2, rel=1e-12)
 
@@ -152,13 +155,12 @@ def _hostile_grouped(case: str):
         n_a, n_b, d = 280, 20, 6
     else:
         n_a, n_b, d = 40, 25, 6
-    g = random_grouped(rng, n_a, n_b, d)
-    feats = np.vstack([g.x_a, g.x_b])
+    feats = random_grouped(rng, n_a, n_b, d).features
     if case == "constant_column":
         feats[:, 2] = 5.0
     elif case == "duplicated_column":
         feats[:, 4] = feats[:, 1]
-    return center_and_split(make_table(feats, ["a"] * n_a + ["b"] * n_b))
+    return make_table(feats, ["a"] * n_a + ["b"] * n_b)
 
 
 class TestMomentMetrics:
@@ -167,17 +169,30 @@ class TestMomentMetrics:
     )
     def test_matches_explicit_residual(self, case):
         g = _hostile_grouped(case)
-        d = g.x.shape[1]
+        x = centered(g)
+        d = x.shape[1]
         moments = prepare(g, 1).moments
         rng = np.random.default_rng(18)
         for r in (1, 2, 3):
             for u in (rand_orthonormal(rng, d, r), classical_pca(g, r).u):
                 m = moment_metrics(moments, u)
                 want = (
-                    avg_reconstruction_error_direct(g.x, u),
-                    avg_reconstruction_error_direct(g.x_a, u),
-                    avg_reconstruction_error_direct(g.x_b, u),
+                    avg_reconstruction_error_direct(x, u),
+                    avg_reconstruction_error_direct(x[g.in_a], u),
+                    avg_reconstruction_error_direct(x[~g.in_a], u),
                 )
                 got = (m.overall_err, m.err_a, m.err_b)
                 for have, ref in zip(got, want):
                     assert have == pytest.approx(ref, rel=1e-9)
+
+
+def test_fairness_is_the_rounded_square_at_tiny_scale():
+    # at 2^-300 every squared disparity is subnormal or 0: that is the
+    # correctly rounded float64 square, beside a disparity that is not 0
+    g = random_grouped(np.random.default_rng(2), 200, 100, 6)
+    tiny = dataclasses.replace(g, features=g.features * 2.0**-300)
+    rows = run_sweep(tiny, 3, 1e-6, "tiny", False).rows
+    assert len(rows) == 9
+    for row in rows:
+        assert row["disparity"] != 0.0
+        assert row["fairness"] == row["disparity"] * row["disparity"]
