@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from time import perf_counter
@@ -136,12 +137,19 @@ def _field(rec: dict, key: str):
     value = rec[key]
     if type(value) not in _TYPES.get(key, (int, float)):
         raise TypeError(f"{key} {value!r} has the wrong type")
-    return value if key in _TYPES else float(value)
+    if key in _TYPES:
+        return value
+    # json reads NaN and Infinity, and an integer past float64 overflows
+    # here; no writer emits either, since prepare gates on finiteness
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{key} {value!r} is not finite")
+    return number
 
 
 def read_report_jsonl(path) -> SweepReport:
     """Parse a JSONL report, validating each field's type, the method tags,
-    ranks from 1, one row per (rank, method) and one report per file."""
+    finite measures, ranks from 1, one row per (rank, method) and one report per file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -164,7 +172,7 @@ def read_report_jsonl(path) -> SweepReport:
                 raise DataError(f"{path}:{lineno}: unknown method {rec['method']!r}")
             row = {k: _field(rec, k) for k in ROW_FIELDS}
             this = (_field(rec, "dataset_id"), _field(rec, "balanced"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: malformed report line: {exc}") from exc
         if header is None:
             header = this

@@ -409,6 +409,24 @@ class TestPlotdata:
             assert self.plot(tmp_path, {**self.GOOD, key: True}) == 2
             assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, literal", [
+        ("alpha", "NaN"),
+        ("overall_err", "Infinity"),
+        ("disparity", "-Infinity"),
+        ("fairness", "1" + "0" * 400),
+    ])
+    def test_non_finite_measure(self, key, literal, tmp_path, capsys):
+        # NaN and Infinity used to exit 0 and write nan/inf into the series,
+        # and an integer past float64 stopped with a traceback
+        line = json.dumps({**self.GOOD, key: 0.0}).replace("0.0", literal, 1)
+        assert f'"{key}": {literal}' in line
+        path = tmp_path / "report.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        plots = tmp_path / "plots"
+        assert run_cli("plotdata", "--report", str(path), "--out-dir", str(plots)) == 2
+        assert f"{path}:1: malformed report line: " in capsys.readouterr().err
+        assert not plots.exists()
+
     def test_mixed_reports(self, tmp_path, capsys):
         # the last line's dataset_id and balanced used to win
         path = tmp_path / "two.jsonl"
