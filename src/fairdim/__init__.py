@@ -24,11 +24,8 @@ from .fairpca import (  # noqa: E402
     FairFitResult,
     Prepared,
     Search,
-    c_fpca,
-    classical_pca,
     prepare,
     search,
-    u_fpca,
     weighted_covariance,
 )
 

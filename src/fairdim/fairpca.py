@@ -34,13 +34,13 @@ scores. ``prepare`` is also the one numeric gate: once C, D and the
 squared traces are finite, every blend is finite and bitwise symmetric
 by construction, so the per-alpha eigensolve checks nothing.
 
-``search(data, r, tol)`` returns the ``Search`` record that the three fits
-at one rank share: plain PCA, the moments in the roles it sets, and a
-root search that runs once, on first use, for both ``ufpca()`` and
-``cfpca()``. A sweep shares one ``Prepared`` plus one ``Search`` per rank;
-``classical_pca``, ``u_fpca`` and ``c_fpca`` each build their own. A
-``Search`` is safe to share between threads: two that first use it
-together may both run its root search, with identical results.
+``search(data, r, tol)`` is the one way to a fit. It returns the
+``Search`` record that the three fits at one rank share: ``.pca`` is plain
+PCA, and ``.ufpca()`` and ``.cfpca()`` share one root search, run on first
+use. For example, ``s = search(table, r=1)`` then ``s.cfpca()``. A sweep
+shares one ``Prepared`` plus one ``Search`` per rank. A ``Search`` is
+safe to share between threads: two that first use it together may both
+run its root search, with identical results.
 """
 
 from __future__ import annotations
@@ -61,10 +61,7 @@ __all__ = [
     "prepare",
     "Search",
     "search",
-    "classical_pca",
     "weighted_covariance",
-    "u_fpca",
-    "c_fpca",
 ]
 
 # Relative slack allowed when verifying a constrained fit against its error budget.
@@ -318,24 +315,3 @@ def search(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> Search:
         data = prepare(data, r)
     _check_rank(r, data.max_rank)
     return Search(*_plain(data, r), tol)
-
-
-def classical_pca(data: RawTable | Prepared, r: int) -> FairFitResult:
-    """Top-r eigenvectors of the plain covariance, with group metrics.
-
-    Roles are assigned from this projection's own per-group errors, so
-    the reported disparity is never negative here.
-    """
-    return search(data, r).pca
-
-
-def u_fpca(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
-    """Unconstrained fair fit: the alpha minimizing the squared disparity,
-    found by bisecting on its sign (``Search.roots``)."""
-    return search(data, r, tol).ufpca()
-
-
-def c_fpca(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> FairFitResult:
-    """Constrained fair fit: like u_fpca, but neither group's error may
-    exceed the harmed group's plain-PCA error."""
-    return search(data, r, tol).cfpca()

@@ -22,7 +22,9 @@ from pathlib import Path
 from time import perf_counter
 
 from .dataset import DataError, RawTable
-from .fairpca import FairFitResult, Prepared, Search, prepare, search
+from .fairpca import (
+    METHOD_CFPCA, METHOD_PCA, METHOD_UFPCA, FairFitResult, Search, prepare, search
+)
 from .metrics import GroupMetrics
 
 __all__ = [
@@ -38,7 +40,7 @@ __all__ = [
     "write_plot_series",
 ]
 
-METHODS = ("pca", "ufpca", "cfpca")
+METHODS = (METHOD_PCA, METHOD_UFPCA, METHOD_CFPCA)
 ROW_FIELDS = ("r", "method", "alpha", *(f.name for f in fields(GroupMetrics)))
 # the JSON types a record field may take; every other row field is a number
 _TYPES = {"dataset_id": (str,), "balanced": (bool,), "r": (int,), "method": (str,)}
@@ -63,11 +65,11 @@ def fit_one(s: Search, method: str) -> tuple[FairFitResult, int]:
     fit on ``s``. This is the only dispatch from a method name to its fit,
     shared by a single fit and by every cell of a sweep."""
     start = perf_counter()
-    if method == "pca":
+    if method == METHOD_PCA:
         fit = s.pca
-    elif method == "ufpca":
+    elif method == METHOD_UFPCA:
         fit = s.ufpca()
-    elif method == "cfpca":
+    elif method == METHOD_CFPCA:
         fit = s.cfpca()
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -75,15 +77,15 @@ def fit_one(s: Search, method: str) -> tuple[FairFitResult, int]:
 
 
 def run_sweep(
-    data: RawTable | Prepared, max_rank: int, tol: float, dataset_id: str, balanced: bool
+    table: RawTable, max_rank: int, tol: float, dataset_id: str, balanced: bool
 ) -> SweepReport:
     """Fit all methods for every rank 1..max_rank, in (rank, method) order.
 
     The second moments and the one plain-PCA eigendecomposition serving
-    every rank are computed once, before the first cell, if ``data`` is a
-    table. Each rank then builds one ``Search``, and its three cells share it.
+    every rank are computed once, before the first cell. Each rank then
+    builds one ``Search``, and its three cells share it.
     """
-    p = data if isinstance(data, Prepared) else prepare(data, max_rank)
+    p = prepare(table, max_rank)
     searches = (search(p, r, tol) for r in range(1, max_rank + 1))
     cells = [fit_one(s, method) for s in searches for method in METHODS]
     rows = tuple(

@@ -13,13 +13,7 @@ import pytest
 
 from fairdim import cli
 from fairdim.dataset import balance, load_grouped, load_table
-from fairdim.fairpca import (
-    c_fpca,
-    classical_pca,
-    prepare,
-    u_fpca,
-    weighted_covariance,
-)
+from fairdim.fairpca import prepare, search, weighted_covariance
 from fairdim.linalg import scaled_gram, sym_eig_top_r
 from fairdim.synth import s1_table
 
@@ -56,7 +50,7 @@ def _real_dataset(name):
 def _grid_roles(g, r):
     """Plain PCA, the privileged and harmed rows it implies, and the
     blend's two terms computed from those rows."""
-    pca = classical_pca(g, r)
+    pca = search(g, r).pca
     x = centered(g)
     x_a, x_b = x[g.in_a], x[~g.in_a]
     x_priv, x_harm = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
@@ -108,7 +102,7 @@ def test_criterion_2_pca_optimality():
         r = int(rng.integers(1, d))
         n_a = int(rng.integers(1, n))
         g = random_grouped(rng, n_a, n - n_a, d)
-        u = classical_pca(g, r).u
+        u = search(g, r).pca.u
         c_x = scaled_gram(centered(g), n)
         ours = float(np.trace(u.T @ c_x @ u))
         qs = np.linalg.qr(rng.standard_normal((1000, d, d)))[0][:, :, :r]
@@ -128,7 +122,7 @@ def test_criterion_3_alpha_one_reduction():
     for g in datasets:
         d = g.features.shape[1]
         for r in range(1, d + 1):
-            u_pca = classical_pca(g, r).u
+            u_pca = search(g, r).pca.u
             u_fair = sym_eig_top_r(weighted_covariance(prepare(g, r).moments, 1.0), r).vectors
             gap = np.linalg.norm(u_fair @ u_fair.T - u_pca @ u_pca.T)
             assert gap <= 1e-8
@@ -164,7 +158,7 @@ def test_criterion_5_search_matches_grid_oracle():
             u = sym_eig_top_r(a * c_x + (1.0 - a) * delta, 1).vectors
             grid_f.append(_disparity(rows, u) ** 2)
         grid_f = np.array(grid_f)
-        fit = u_fpca(g, 1, tol=1e-6)
+        fit = search(g, 1, tol=1e-6).ufpca()
         tol = max(1e-8, 1e-3 * float(grid_f.max() - grid_f.min()))
         assert fit.metrics.fairness - float(grid_f.min()) <= tol, f"seed {seed}"
         assert fit.iterations <= math.ceil(math.log2(1e6))
@@ -181,21 +175,21 @@ def test_criterion_6_constrained_fit_contract():
         g = random_grouped(rng, int(rng.integers(5, 50)), int(rng.integers(5, 50)), d)
         instances.append((g, int(rng.integers(1, d + 1))))
     for g, r in instances:
-        fit = c_fpca(g, r)
-        pca = classical_pca(g, r)
+        fit = search(g, r).cfpca()
+        pca = search(g, r).pca
         assert fit.metrics.err_a <= fit.budget + 1e-9
         assert fit.metrics.err_b <= fit.budget + 1e-9
         assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
         assert fit.budget == pca.metrics.err_b  # harmed group's baseline error
-        assert u_fpca(g, r).metrics.fairness <= pca.metrics.fairness + 1e-12
+        assert search(g, r).ufpca().metrics.fairness <= pca.metrics.fairness + 1e-12
     _passed(6, "constrained-fit budget and fairness contract")
 
 
 def test_criterion_7_method_ordering_synthetic():
     g = s1_table()
-    pca = classical_pca(g, 1)
-    uf = u_fpca(g, 1)
-    cf = c_fpca(g, 1)
+    pca = search(g, 1).pca
+    uf = search(g, 1).ufpca()
+    cf = search(g, 1).cfpca()
     assert uf.metrics.fairness <= cf.metrics.fairness + 1e-15
     assert cf.metrics.fairness <= pca.metrics.fairness + 1e-12
     assert pca.metrics.overall_err <= cf.metrics.overall_err + 1e-9
@@ -209,9 +203,9 @@ def test_criterion_7_method_ordering_real(name):
     start = time.monotonic()
     g = load_grouped(path, col)
     for r in range(1, min(10, g.features.shape[1]) + 1):
-        pca = classical_pca(g, r)
-        uf = u_fpca(g, r)
-        cf = c_fpca(g, r)
+        pca = search(g, r).pca
+        uf = search(g, r).ufpca()
+        cf = search(g, r).cfpca()
         assert uf.metrics.fairness <= cf.metrics.fairness + 1e-12
         assert cf.metrics.fairness <= pca.metrics.fairness + 1e-12
         assert pca.metrics.overall_err <= cf.metrics.overall_err + 1e-9

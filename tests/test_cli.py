@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from fairdim import cli, fairpca, report
-from fairdim.dataset import balance, load_table, write_table
+from fairdim.dataset import balance, load_grouped, load_table, write_table
+from fairdim.fairpca import search
 from fairdim.linalg import LinalgError
-from fairdim.report import read_report_jsonl, run_sweep
+from fairdim.report import METHODS, fit_record, read_report_jsonl, run_sweep
 from fairdim.synth import s1_table
 
 from conftest import centered, count_solves
@@ -85,12 +86,13 @@ class TestFit:
 
     def test_output_file(self, s1_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
-        assert run_cli(
-            "fit", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--method", "pca", "--rank", "1", "--output", str(out),
-        ) == 0
-        assert capsys.readouterr().out == ""
-        assert json.loads(out.read_text())["method"] == "pca"
+        for method in METHODS:
+            assert run_cli(
+                "fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                "--method", method, "--rank", "1", "--output", str(out),
+            ) == 0
+            assert capsys.readouterr().out == ""
+            assert json.loads(out.read_text())["method"] == method
 
     def test_timing_goes_to_stderr_only(self, s1_csv, capsys):
         run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
@@ -99,31 +101,25 @@ class TestFit:
         assert "runtime_ms" in captured.err
         assert "runtime_ms" not in captured.out
 
-    def test_balanced_fit_matches_library(self, toy_csv, capsys):
+    def test_balanced_fit_matches_library(self, toy_csv, tmp_path):
+        # the file `fit --output` writes is the library's record, byte for
+        # byte, for every method with and without --balanced
         rng = np.random.default_rng(22)
         path = toy_csv(rng.standard_normal((9, 3)), ["a"] * 6 + ["b"] * 3)
-        assert run_cli(
-            "fit", "--input", str(path), "--sensitive-col", "group",
-            "--method", "pca", "--rank", "2", "--balanced",
-        ) == 0
-        record = json.loads(capsys.readouterr().out)
-        from fairdim.fairpca import classical_pca
-
-        g = balance(load_table(path, "group"))
-        expected = classical_pca(g, 2)
-        assert record["overall_err"] == expected.metrics.overall_err
-        assert record["err_a"] == expected.metrics.err_a
+        out = tmp_path / "fit.json"
+        for method in METHODS:
+            for balanced in (False, True):
+                assert run_cli(
+                    "fit", "--input", str(path), "--sensitive-col", "group",
+                    "--method", method, "--rank", "2", "--tol", "1e-4",
+                    "--output", str(out), *(("--balanced",) if balanced else ()),
+                ) == 0
+                s = search(load_grouped(path, "group", balanced), 2, 1e-4)
+                expected = {"pca": s.pca, "ufpca": s.ufpca(), "cfpca": s.cfpca()}[method]
+                assert out.read_text() == json.dumps(fit_record(expected)) + "\n"
 
 
 class TestSweep:
-    def test_sweep_of_prepared_table(self, s1_csv):
-        table = load_table(s1_csv, "group")
-        p = fairpca.prepare(table, 2)
-        by_table = run_sweep(table, 2, 1e-6, "s1", False)
-        assert run_sweep(p, 2, 1e-6, "s1", False).rows == by_table.rows
-        with pytest.raises(LinalgError, match="rank"):
-            run_sweep(fairpca.prepare(table, 1), 2, 1e-6, "s1", False)
-
     def test_full_rank_zero_error(self, s1_csv, capsys):
         assert run_cli(
             "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
@@ -566,7 +562,6 @@ class TestSharedWork:
 
     def test_fit_runs_plain_pca_once(self, wide_csv, monkeypatch, capsys):
         import fairdim.fairpca as fairpca_module
-        from fairdim.dataset import load_grouped
         from conftest import avg_reconstruction_error_direct
 
         # every plain-PCA fit, alone or inside a search, goes through _plain
@@ -594,9 +589,6 @@ class TestSharedWork:
         assert (record["privileged"], record["harmed"]) == expected
 
     def test_sweep_runs_one_root_search_per_rank(self, wide_csv, monkeypatch, capsys):
-        from fairdim.dataset import load_grouped
-        from fairdim.fairpca import c_fpca, u_fpca
-
         calls = count_solves(monkeypatch)
         assert run_cli("sweep", "--input", str(wide_csv), "--sensitive-col", "group",
                        "--max-rank", "4") == 0
@@ -609,7 +601,7 @@ class TestSharedWork:
         g = load_grouped(wide_csv, "group")
         expected = 1
         for r in range(1, 5):
-            uf, cf = u_fpca(g, r), c_fpca(g, r)
+            uf, cf = search(g, r).ufpca(), search(g, r).cfpca()
             assert 0.0 < uf.alpha < 1.0
             assert (cf.alpha, cf.iterations) == (uf.alpha, uf.iterations)
             expected += uf.iterations + 2

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -12,15 +13,14 @@ from fairdim.fairpca import (
     FairFitResult,
     _bisect,
     _Point,
-    c_fpca,
-    classical_pca,
+    Search,
     prepare,
     search,
-    u_fpca,
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
 from fairdim.metrics import Moments, moment_metrics
+from fairdim.report import fit_record
 
 from conftest import (
     avg_reconstruction_error_direct,
@@ -28,6 +28,7 @@ from conftest import (
     count_solves,
     make_table,
     random_grouped,
+    row_labels,
 )
 
 
@@ -55,7 +56,7 @@ HAND_MOMENTS = Moments(
 
 def privileged_first(p, r):
     """``p``'s moments in the roles plain PCA sets at rank r."""
-    pca = classical_pca(p, r)
+    pca = search(p, r).pca
     return p.moments if pca.privileged == p.labels[0] else p.moments.swapped()
 
 
@@ -80,7 +81,7 @@ class TestClassicalPca:
         s2, s1 = np.sqrt(2.0), 1.0
         feats = [[s2, 0.0], [-s2, 0.0], [0.0, s1], [0.0, -s1]]
         g = make_table(feats, list("aabb"))
-        fit = classical_pca(g, 1)
+        fit = search(g, 1).pca
         assert np.allclose(np.abs(fit.u[:, 0]), [1.0, 0.0], atol=1e-12)
         # overall error equals the discarded eigenvalue of C_X = diag(1, 0.5)
         assert fit.metrics.overall_err == pytest.approx(0.5, abs=1e-12)
@@ -90,28 +91,32 @@ class TestClassicalPca:
     def test_full_rank_zero_error(self):
         rng = np.random.default_rng(10)
         g = random_grouped(rng, 20, 10, 4)
-        fit = classical_pca(g, 4)
+        fit = search(g, 4).pca
         assert fit.metrics.overall_err == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_45_degrees(self):
         feats = [[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]]
         g = make_table(feats, list("abab"))
-        fit = classical_pca(g, 1)
+        fit = search(g, 1).pca
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(fit.u[:, 0], [s, s], atol=1e-12)
 
     def test_rank_out_of_range(self):
         g = identical_groups()
         with pytest.raises(LinalgError):
-            classical_pca(g, 0)
+            search(g, 0).pca
         with pytest.raises(LinalgError):
-            classical_pca(g, 3)
+            search(g, 3).pca
+
+    def test_rank_beyond_prepared_rank(self, s1_grouped):
+        with pytest.raises(LinalgError, match="rank"):
+            search(prepare(s1_grouped, 1), 2)
 
     def test_disparity_never_negative_for_pca(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             g = random_grouped(rng, 25, 15, 5)
-            fit = classical_pca(g, 2)
+            fit = search(g, 2).pca
             assert fit.metrics.disparity >= 0.0
 
 
@@ -152,7 +157,7 @@ class TestFairProjection:
         for _ in range(5):
             g = random_grouped(rng, 30, 20, 5)
             for r in (1, 2, 4):
-                u_pca = classical_pca(g, r).u
+                u_pca = search(g, r).pca.u
                 u_fair = fair_projection(moments(g), 1.0, r)
                 assert projector_gap(u_fair, u_pca) <= 1e-8
 
@@ -168,7 +173,7 @@ class TestFairProjection:
 
     def test_identical_groups_match_pca_for_positive_alpha(self):
         g = identical_groups()
-        u_pca = classical_pca(g, 1).u
+        u_pca = search(g, 1).pca.u
         for alpha in (0.1, 0.5, 0.9, 1.0):
             assert projector_gap(fair_projection(moments(g), alpha, 1), u_pca) <= 1e-8
 
@@ -255,33 +260,33 @@ class TestBisect:
 
 class TestUFpca:
     def test_identical_groups_fairness_zero(self):
-        fit = u_fpca(identical_groups(), 1)
+        fit = search(identical_groups(), 1).ufpca()
         assert fit.metrics.fairness == pytest.approx(0.0, abs=1e-15)
 
     def test_beats_pca_on_synthetic(self, s1_grouped):
-        pca = classical_pca(s1_grouped, 1)
-        fit = u_fpca(s1_grouped, 1)
+        pca = search(s1_grouped, 1).pca
+        fit = search(s1_grouped, 1).ufpca()
         assert fit.metrics.fairness <= pca.metrics.fairness
         assert fit.method == "ufpca"
         assert 0.0 <= fit.alpha <= 1.0
         assert fit.iterations == 20
 
     def test_respects_tolerance_config(self, s1_grouped):
-        loose = u_fpca(s1_grouped, 1, tol=1e-2)
+        loose = search(s1_grouped, 1, tol=1e-2).ufpca()
         assert loose.iterations == 7
 
     def test_terminates_without_iteration_cap(self, s1_grouped):
         # the finest tol halves until the bracket's ends are adjacent floats
-        fine = u_fpca(s1_grouped, 1, tol=5e-324)
+        fine = search(s1_grouped, 1, tol=5e-324).ufpca()
         assert fine.iterations <= 64
-        assert fine.metrics.fairness <= u_fpca(s1_grouped, 1).metrics.fairness
+        assert fine.metrics.fairness <= search(s1_grouped, 1).ufpca().metrics.fairness
 
     def test_never_less_fair_than_pca_across_a_crossing(self):
         # plain PCA fits this exactly; the second column is all zeros
         rng = np.random.default_rng(0)
         col = np.vstack([2.0 * rng.standard_normal((40, 1)), rng.standard_normal((30, 1))])
         g = make_table(np.hstack([col, np.zeros((70, 1))]), ["a"] * 40 + ["b"] * 30)
-        fit = u_fpca(g, 1)
+        fit = search(g, 1).ufpca()
         assert fit.alpha == 1.0
         assert fit.metrics.fairness == 0.0
 
@@ -295,12 +300,12 @@ class TestUFpca:
         assert all(p.metrics.fairness == 0.0 for p in candidates)
         fit = s.ufpca()
         assert abs(fit.metrics.disparity) == min(abs(p.metrics.disparity) for p in candidates)
-        assert fit.alpha == pytest.approx(u_fpca(g, 2).alpha, abs=s.tol)
+        assert fit.alpha == pytest.approx(search(g, 2).ufpca().alpha, abs=s.tol)
 
     def test_metrics_recomputable(self, s1_grouped):
         g = s1_grouped
-        fit = u_fpca(g, 1)
-        pca = classical_pca(g, 1)
+        fit = search(g, 1).ufpca()
+        pca = search(g, 1).pca
         x = centered(g)
         x_a, x_b = x[g.in_a], x[~g.in_a]
         x_privileged, x_harmed = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
@@ -315,19 +320,19 @@ class TestUFpca:
 class TestCFpca:
     def test_identical_groups_match_pca(self):
         g = identical_groups()
-        fit = c_fpca(g, 1)
-        pca = classical_pca(g, 1)
+        fit = search(g, 1).cfpca()
+        pca = search(g, 1).pca
         assert projector_gap(fit.u, pca.u) <= 1e-8
         assert fit.metrics.fairness == pytest.approx(0.0, abs=1e-15)
 
     def test_budget_is_harmed_group_pca_error(self, s1_grouped):
-        fit = c_fpca(s1_grouped, 1)
-        pca = classical_pca(s1_grouped, 1)
+        fit = search(s1_grouped, 1).cfpca()
+        pca = search(s1_grouped, 1).pca
         assert fit.budget == pca.metrics.err_b
 
     def test_contract_on_synthetic(self, s1_grouped):
-        pca = classical_pca(s1_grouped, 1)
-        fit = c_fpca(s1_grouped, 1)
+        pca = search(s1_grouped, 1).pca
+        fit = search(s1_grouped, 1).cfpca()
         assert fit.metrics.err_a <= fit.budget + 1e-9
         assert fit.metrics.err_b <= fit.budget + 1e-9
         assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
@@ -337,8 +342,8 @@ class TestCFpca:
         for _ in range(10):
             g = random_grouped(rng, 40, 25, 5)
             r = int(rng.integers(1, 5))
-            fit = c_fpca(g, r)
-            pca = classical_pca(g, r)
+            fit = search(g, r).cfpca()
+            pca = search(g, r).pca
             assert fit.metrics.err_a <= fit.budget + 1e-9
             assert fit.metrics.err_b <= fit.budget + 1e-9
             assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
@@ -352,14 +357,14 @@ class TestCFpca:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             g = random_grouped(rng, int(rng.integers(3, 40)), int(rng.integers(3, 40)), d)
-            fit = c_fpca(g, d)
-            pca = classical_pca(g, d)
+            fit = search(g, d).cfpca()
+            pca = search(g, d).pca
             assert fit.metrics.err_a <= fit.budget + 1e-9
             assert fit.metrics.err_b <= fit.budget + 1e-9
             assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
 
     def test_budget_bisection_matches_grid_oracle(self):
-        # where u_fpca's fit breaks the budget, c_fpca bisects between it
+        # where ufpca's fit breaks the budget, cfpca bisects between it
         # and plain PCA; it must land on the fairest alpha of a 1001-point
         # grid that meets the budget
         rng = np.random.default_rng(15)
@@ -368,7 +373,7 @@ class TestCFpca:
             d = int(rng.integers(2, 7))
             g = random_grouped(rng, int(rng.integers(3, 50)), int(rng.integers(3, 50)), d)
             r = int(rng.integers(1, d + 1))
-            fit, root = c_fpca(g, r), u_fpca(g, r)
+            fit, root = search(g, r).cfpca(), search(g, r).ufpca()
             if max(root.metrics.err_a, root.metrics.err_b) <= fit.budget:
                 continue
             seen += 1
@@ -397,7 +402,7 @@ class TestCFpca:
             return real(c, r)
 
         monkeypatch.setattr(fairpca_module, "sym_eig_top_r", counting)
-        fit = c_fpca(s1_grouped, 1)
+        fit = search(s1_grouped, 1).cfpca()
         # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
         # one per halving and one at the secant point
         assert calls["n"] == fit.iterations + 3
@@ -474,10 +479,10 @@ class TestFullRank:
             d = int(rng.integers(2, 5))
             g = random_grouped(rng, int(rng.integers(3, 40)), int(rng.integers(3, 40)), d)
             p = prepare(g, d)
-            pca = classical_pca(p, d)
-            for fit_fn in (u_fpca, c_fpca):
+            pca = search(p, d).pca
+            for fit_fn in (Search.ufpca, Search.cfpca):
                 calls.clear()
-                fit = fit_fn(g, d)
+                fit = fit_fn(search(g, d))
                 assert (fit.alpha, fit.iterations, len(calls)) == (1.0, 0, 1)
                 assert np.array_equal(fit.u, pca.u)
                 assert fit.metrics == pca.metrics
@@ -507,9 +512,44 @@ class TestNumericGate:
         # 1e70 gives moments near 1e140 and fairness near 1e280: all finite
         rng = np.random.default_rng(5)
         g = make_table(1e70 * rng.standard_normal((8, 2)), list("aaaabbbb"))
-        for fit in (u_fpca(g, 1), c_fpca(g, 1)):
+        for fit in (search(g, 1).ufpca(), search(g, 1).cfpca()):
             assert np.isfinite(list(dataclasses.astuple(fit.metrics))).all()
             assert 0.0 <= fit.alpha <= 1.0
+
+
+def hostile_tables():
+    """Shapes that strain a fit, each of which loads and fits today."""
+    rng = np.random.default_rng(61)
+    g = random_grouped(rng, 20, 12, 4)
+    x, labels = g.features, row_labels(g)
+    return {
+        "d_gt_n": random_grouped(rng, 2, 2, 7),
+        "constant_column": make_table(np.column_stack([x, np.full(len(x), 3.0)]), labels),
+        "duplicated_column": make_table(np.column_stack([x, x[:, 1]]), labels),
+        "imbalance_14_to_1": random_grouped(rng, 70, 5, 4),
+        "scaled_1e-150": make_table(1e-150 * x, labels),
+        "one_row_group": random_grouped(rng, 15, 1, 3),
+        "all_zero": make_table(np.zeros((6, 3)), list("aaabbb")),
+    }
+
+
+HOSTILE = hostile_tables()
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_every_rank_fits(self, case):
+        g = HOSTILE[case]
+        for r in range(1, g.features.shape[1] + 1):
+            s = search(g, r)
+            pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
+            for fit in (pca, uf, cf):
+                assert 0.0 <= fit.alpha <= 1.0
+            assert abs(uf.metrics.disparity) <= abs(pca.metrics.disparity)
+            assert cf.metrics.err_a <= cf.budget and cf.metrics.err_b <= cf.budget
+            again = search(g, r)
+            for fit, rerun in zip((pca, uf, cf), (again.pca, again.ufpca(), again.cfpca())):
+                assert json.dumps(fit_record(fit)) == json.dumps(fit_record(rerun))
 
 
 class TestPlainPcaRoles:
@@ -517,7 +557,7 @@ class TestPlainPcaRoles:
     @staticmethod
     def fit(a_scale, b_scale):
         rows = [[a_scale, 0.0], [-a_scale, 0.0], [0.0, b_scale], [0.0, -b_scale]]
-        return classical_pca(make_table(rows, list("aabb")), 1)
+        return search(make_table(rows, list("aabb")), 1).pca
 
     def test_first_group_favored(self):
         pca = self.fit(2.0, 1.0)  # plain PCA keeps x: group a exactly
@@ -538,13 +578,13 @@ class TestPlainPcaRoles:
         rows = [[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         for labels in ("ab" * 4, "ba" * 4):
             g = make_table([row for row in rows for _ in "ab"], list(labels))
-            pca = classical_pca(g, 1)
+            pca = search(g, 1).pca
             assert pca.metrics.err_a == pca.metrics.err_b == 0.5
             assert (pca.privileged, pca.harmed) == (labels[0], labels[1])
 
 
 class TestRoleAssignment:
-    @pytest.mark.parametrize("fit_fn", [u_fpca, c_fpca], ids=["ufpca", "cfpca"])
+    @pytest.mark.parametrize("fit_fn", [Search.ufpca, Search.cfpca], ids=["ufpca", "cfpca"])
     @pytest.mark.parametrize("first_seen", ["a", "b"])
     def test_roles_assigned_once_per_fit(self, fit_fn, first_seen, monkeypatch):
         import fairdim.fairpca as fairpca_module
@@ -558,14 +598,14 @@ class TestRoleAssignment:
         monkeypatch.setattr(
             fairpca_module, "_plain", lambda *args: calls.append(1) or real(*args)
         )
-        fit = fit_fn(g, 2)
+        fit = fit_fn(search(g, 2))
         assert len(calls) == 1
 
         # the same roles, budget and metric order as plain PCA's
         p = prepare(g, 2)
-        pca = classical_pca(p, 2)
+        pca = search(p, 2).pca
         assert (fit.privileged, fit.harmed) == (pca.privileged, pca.harmed)
-        if fit_fn is c_fpca:
+        if fit_fn is Search.cfpca:
             assert fit.budget == pca.metrics.err_b
         assert moment_metrics(privileged_first(p, 2), fit.u) == fit.metrics
 

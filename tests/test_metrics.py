@@ -5,7 +5,7 @@ import pytest
 
 from fairdim.linalg import LinalgError, scaled_gram
 from fairdim.metrics import Moments, moment_metrics
-from fairdim.fairpca import classical_pca, prepare
+from fairdim.fairpca import prepare, search
 from fairdim.report import run_sweep
 
 from conftest import (
@@ -118,7 +118,7 @@ class TestMetricProperties:
     def test_rotation_invariance_within_subspace(self):
         rng = np.random.default_rng(6)
         g = random_grouped(rng, 30, 20, 5)
-        u = classical_pca(g, 3).u
+        u = search(g, 3).pca.u
         moments = prepare(g, 1).moments
         base = moment_metrics(moments, u)
         for _ in range(10):
@@ -132,7 +132,7 @@ class TestMetricProperties:
     def test_overall_error_monotone_in_rank(self):
         rng = np.random.default_rng(7)
         g = random_grouped(rng, 40, 25, 6)
-        errs = [classical_pca(g, r).metrics.overall_err for r in range(1, 7)]
+        errs = [search(g, r).pca.metrics.overall_err for r in range(1, 7)]
         assert all(errs[i] >= errs[i + 1] - 1e-12 for i in range(5))
         assert errs[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestMomentMetrics:
         moments = prepare(g, 1).moments
         rng = np.random.default_rng(18)
         for r in (1, 2, 3):
-            for u in (rand_orthonormal(rng, d, r), classical_pca(g, r).u):
+            for u in (rand_orthonormal(rng, d, r), search(g, r).pca.u):
                 m = moment_metrics(moments, u)
                 want = (
                     avg_reconstruction_error_direct(x, u),
