@@ -26,13 +26,14 @@ bisection starts with alpha = 1 as its upper end and only ever replaces
 that end by a point that meets the cap, so its answer always does too.
 
 Everything a fit needs from the data is its three d x d second moments
-and the plain-PCA eigenvectors. ``prepare`` centers the table's rows,
+and all d plain-PCA eigenpairs. ``prepare`` centers the table's rows,
 computes both once and keeps only them and the two group labels, so no
 step after it touches the n x d rows: ``weighted_covariance`` blends the
 moments, ``sym_eig_top_r`` projects, and ``metrics.moment_metrics``
 scores. ``prepare`` is also the one numeric gate: once C, D and the
 squared traces are finite, every blend is finite and bitwise symmetric
-by construction, so the per-alpha eigensolve checks nothing.
+by construction, so the per-alpha eigensolve checks nothing. From the
+data's numerical rank on, plain PCA is exact and the fair fits return it.
 
 ``search(data, r, tol)`` is the one way to a fit. It returns the
 ``Search`` record that the three fits at one rank share: ``.pca`` is plain
@@ -52,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataError, RawTable
-from .linalg import LinalgError, scaled_gram, sym_eig_top_r
+from .linalg import EigenPairs, LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import GroupMetrics, Moments, moment_metrics
 
 __all__ = [
@@ -104,42 +105,38 @@ class FairFitResult:
                 raise ValueError("constrained fit exceeds its error budget")
 
 
-def _check_rank(r: int, d: int) -> None:
-    if not 1 <= r <= d:
-        raise LinalgError(f"rank must satisfy 1 <= r <= {d}, got {r}")
-
-
 @dataclass(frozen=True)
 class Prepared:
-    """A dataset's group labels, second moments and top plain-PCA
-    eigenvectors.
-
-    Built once by ``prepare`` and only read afterwards, so the cells of a
-    sweep can share it. Column j of ``pca_vectors`` is the (j+1)-th
-    principal direction; the rank-r plain-PCA basis is the first r
-    columns, exactly as a rank-r eigensolve of ``moments.c`` returns it.
-    """
+    """A dataset's group labels, second moments and all d plain-PCA
+    eigenpairs, built once by ``prepare`` and shared by every rank. The
+    rank-r basis is ``eig.vectors[:, :r]``, bit for bit a rank-r solve's.
+    ``rank``, the numerical rank, counts eigenvalues > d*eps*max(lambda_1, 0)."""
 
     labels: tuple[str, str]  # first-seen group first
     moments: Moments         # first-seen group as ``a``
-    pca_vectors: np.ndarray  # (d, max_rank)
+    eig: EigenPairs          # all d pairs of ``moments.c``, descending
 
     @property
-    def max_rank(self) -> int:
-        return self.pca_vectors.shape[1]
+    def rank(self) -> int:
+        values = self.eig.values
+        floor = values.size * np.finfo(np.float64).eps * max(values[0], 0.0)
+        return int(np.count_nonzero(values > floor))
+
+    def check_rank(self, r: int) -> None:
+        if not 1 <= r <= len(self.eig.values):
+            raise LinalgError(f"rank must satisfy 1 <= r <= {len(self.eig.values)}, got {r}")
 
 
-def prepare(table: RawTable, max_rank: int) -> Prepared:
+def prepare(table: RawTable) -> Prepared:
     """Center the columns on their means over all rows, then take the second
-    moments and one plain-PCA eigendecomposition up to ``max_rank``.
+    moments and the one plain-PCA eigendecomposition that serves every rank.
 
     Raises ``DataError`` if a column sum overflows, and ``LinalgError``
     unless C, C_b - C_a and the squared traces are finite. Each group error
     lies in [0, tr_k], so the last check keeps every fairness finite too.
     """
     f, in_a = table.features, table.in_a
-    n = f.shape[0]
-    _check_rank(max_rank, f.shape[1])
+    n, d = f.shape
     with np.errstate(over="ignore", invalid="ignore"):
         x = f - f.mean(axis=0)
         # round-off in the mean and the subtraction grows with the column's
@@ -163,9 +160,7 @@ def prepare(table: RawTable, max_rank: int) -> Prepared:
             "second moments or their squares overflow float64 "
             "(or the features hold NaN/Inf); rescale the features"
         )
-    return Prepared(
-        (table.label_a, table.label_b), moments, sym_eig_top_r(moments.c, max_rank).vectors
-    )
+    return Prepared((table.label_a, table.label_b), moments, sym_eig_top_r(moments.c, d))
 
 
 def weighted_covariance(m: Moments, alpha: float) -> np.ndarray:
@@ -191,7 +186,7 @@ def _plain(p: Prepared, r: int) -> tuple[FairFitResult, Moments]:
     the group with the lower plain-PCA error is privileged, and the
     first-seen group on an exact tie.
     """
-    u = np.ascontiguousarray(p.pca_vectors[:, :r])
+    u = np.ascontiguousarray(p.eig.vectors[:, :r])
     m = p.moments
     privileged, harmed = p.labels
     metrics = moment_metrics(m, u)
@@ -239,12 +234,14 @@ def _fairest(points) -> _Point:
 class Search:
     """The three fits at one rank. Plain PCA ``pca`` sets the roles: its
     privileged-first ``moments`` drive every blend, and its harmed error is
-    cfpca's budget. ``roots`` runs the root search both fair fits share on
+    cfpca's budget. ``exact`` (r at least the data's rank) skips a search
+    on round-off. ``roots`` runs the root search both fair fits share on
     first use, so a plain-PCA fit never pays for it."""
 
     pca: FairFitResult
     moments: Moments
     tol: float
+    exact: bool
 
     def evaluate(self, alpha: float) -> _Point:
         if alpha == 1.0:  # plain PCA itself: no second solve
@@ -256,13 +253,12 @@ class Search:
     @cached_property
     def roots(self) -> tuple[tuple[_Point, ...], int]:
         """The points ufpca picks from, and the halvings it took to find
-        them: plain PCA when it is already fair or keeps every dimension,
-        alpha = 0 when even that leaves the harmed group worse off, and
-        otherwise both ends of the bracket around the disparity's sign
-        change plus the secant point between them."""
+        them: plain PCA when it is exact or already fair, alpha = 0 when
+        even that leaves the harmed group worse off, and otherwise both
+        ends of the bracket around the disparity's sign change plus the
+        secant point between them."""
         one = self.evaluate(1.0)
-        # at r = d plain PCA is exact and every error is round-off: nothing to search
-        if one.metrics.disparity <= 0.0 or one.u.shape[1] == one.u.shape[0]:
+        if self.exact or one.metrics.disparity <= 0.0:
             return (one,), 0
         zero = self.evaluate(0.0)
         if zero.metrics.disparity > 0.0:
@@ -312,6 +308,6 @@ def search(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> Search:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not isinstance(data, Prepared):
-        data = prepare(data, r)
-    _check_rank(r, data.max_rank)
-    return Search(*_plain(data, r), tol)
+        data = prepare(data)
+    data.check_rank(r)
+    return Search(*_plain(data, r), tol, r >= data.rank)

@@ -85,7 +85,8 @@ def run_sweep(
     every rank are computed once, before the first cell. Each rank then
     builds one ``Search``, and its three cells share it.
     """
-    p = prepare(table, max_rank)
+    p = prepare(table)
+    p.check_rank(max_rank)
     searches = (search(p, r, tol) for r in range(1, max_rank + 1))
     cells = [fit_one(s, method) for s in searches for method in METHODS]
     rows = tuple(

@@ -123,7 +123,7 @@ def test_criterion_3_alpha_one_reduction():
         d = g.features.shape[1]
         for r in range(1, d + 1):
             u_pca = search(g, r).pca.u
-            u_fair = sym_eig_top_r(weighted_covariance(prepare(g, r).moments, 1.0), r).vectors
+            u_fair = sym_eig_top_r(weighted_covariance(prepare(g).moments, 1.0), r).vectors
             gap = np.linalg.norm(u_fair @ u_fair.T - u_pca @ u_pca.T)
             assert gap <= 1e-8
     _passed(3, "alpha=1 reduces to plain PCA")

@@ -211,6 +211,15 @@ class TestSweep:
             assert rec["fairness"] == row["fairness"]
 
 
+    def test_library_sweep_checks_max_rank(self, s1_grouped, monkeypatch):
+        # the rank is refused before any fit is made
+        calls = count_solves(monkeypatch)
+        for max_rank in (0, s1_grouped.features.shape[1] + 1):
+            with pytest.raises(LinalgError, match="rank"):
+                run_sweep(s1_grouped, max_rank, 1e-6, "s1", False)
+        assert len(calls) == 2  # prepare's, once per call
+
+
 class TestDeterminism:
     def test_repeated_sweep_byte_identical(self, s1_csv, tmp_path):
         out1 = tmp_path / "r1.jsonl"

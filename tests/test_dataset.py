@@ -382,21 +382,21 @@ class TestCenterAndSplit:
 
     def test_mean_removal(self):
         # centered rows are [1] (a) and [-1] (b); uncentered, c_a would be 4
-        m = prepare(make_table([[2.0], [0.0]], ["a", "b"]), 1).moments
+        m = prepare(make_table([[2.0], [0.0]], ["a", "b"])).moments
         assert np.array_equal(m.c, [[1.0]])
         assert np.array_equal(m.c_a, [[1.0]])
         assert np.array_equal(m.c_b, [[1.0]])
 
     def test_idempotent_on_centered(self):
         feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        m = prepare(make_table(feats, ["a", "b"]), 1).moments
+        m = prepare(make_table(feats, ["a", "b"])).moments
         assert m.c.tobytes() == scaled_gram(feats, 2).tobytes()
         assert m.c_a.tobytes() == scaled_gram(feats[:1], 1).tobytes()
         assert m.c_b.tobytes() == scaled_gram(feats[1:], 1).tobytes()
 
     def test_hand_mean(self):
         # centered rows [-1], [0] (a) and [1] (b)
-        p = prepare(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]), 1)
+        p = prepare(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]))
         assert np.array_equal(p.moments.c, [[2.0 / 3.0]])
         assert np.array_equal(p.moments.c_a, [[0.5]])
         assert np.array_equal(p.moments.c_b, [[1.0]])
@@ -406,7 +406,7 @@ class TestCenterAndSplit:
         labels = list("baabbaba")  # the first-seen group is "b"
         table = make_table(np.arange(16.0).reshape(8, 2), labels)
         assert table.in_a.tolist() == [lab == "b" for lab in labels]
-        p = prepare(table, 1)
+        p = prepare(table)
         assert p.labels == ("b", "a")
         x = centered(table)
         assert p.moments.c_a.tobytes() == scaled_gram(x[[0, 3, 4, 6]], 4).tobytes()
@@ -417,7 +417,7 @@ class TestCenterAndSplit:
         feats = rng.standard_normal((12, 4))
         labels = list("abbaabababba")
         table = make_table(feats, labels)
-        m = prepare(table, 1).moments
+        m = prepare(table).moments
         assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
         # the two groups together hold every centered row exactly once
         n_a = labels.count("a")
@@ -427,7 +427,7 @@ class TestCenterAndSplit:
         rng = np.random.default_rng(9)
         feats = rng.standard_normal((50, 6)) * 100.0 + 17.0
         table = make_table(feats, ["a"] * 30 + ["b"] * 20)
-        m = prepare(table, 1).moments
+        m = prepare(table).moments
         assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
         assert np.max(np.abs(centered(table).sum(axis=0))) <= 1e-6 * 50
 
@@ -440,7 +440,7 @@ class TestCenterAndSplit:
             rng.standard_normal(30000),
         ])
         table = make_table(feats, ["a"] * 20000 + ["b"] * 10000)
-        m = prepare(table, 1).moments
+        m = prepare(table).moments
         assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
 
     def test_single_group_rejected(self):
@@ -460,7 +460,7 @@ class TestLoadGrouped:
         assert table.in_a.tolist() == [True, True, False, False]
         kept = np.array([10.0, 20.0, 1.0, 2.0])
         x = kept - kept.mean()
-        m = prepare(table, 1).moments
+        m = prepare(table).moments
         assert np.allclose(m.c, [[np.mean(x * x)]])
         assert np.allclose(m.c_a, [[np.mean(x[:2] ** 2)]])
         assert np.allclose(m.c_b, [[np.mean(x[2:] ** 2)]])

@@ -42,7 +42,7 @@ def identical_groups():
 
 
 def moments(g):
-    return prepare(g, 1).moments
+    return prepare(g).moments
 
 
 # one row per group: x_a = [1, 0] privileged, x_b = [0, 1] harmed
@@ -108,9 +108,10 @@ class TestClassicalPca:
         with pytest.raises(LinalgError):
             search(g, 3).pca
 
-    def test_rank_beyond_prepared_rank(self, s1_grouped):
+    def test_rank_beyond_feature_count(self, s1_grouped):
+        p = prepare(s1_grouped)
         with pytest.raises(LinalgError, match="rank"):
-            search(prepare(s1_grouped, 1), 2)
+            search(p, s1_grouped.features.shape[1] + 1)
 
     def test_disparity_never_negative_for_pca(self):
         rng = np.random.default_rng(11)
@@ -206,7 +207,7 @@ class TestDisparityMonotone:
         if constant:
             x[:, -1] = 3.0
         g = make_table(x, ["a"] * n_a + ["b"] * n_b)
-        p = prepare(g, d)
+        p = prepare(g)
         # full eigenbases on the grid per role order; rank r takes r columns
         bases = {}
         for r in range(1, d + 1):
@@ -379,7 +380,7 @@ class TestCFpca:
             seen += 1
             assert max(fit.metrics.err_a, fit.metrics.err_b) <= fit.budget
             assert fit.alpha > root.alpha
-            p = prepare(g, r)
+            p = prepare(g)
             m = privileged_first(p, r)
             grid = [
                 moment_metrics(m, fair_projection(m, a, r))
@@ -478,7 +479,7 @@ class TestFullRank:
         for _ in range(400):
             d = int(rng.integers(2, 5))
             g = random_grouped(rng, int(rng.integers(3, 40)), int(rng.integers(3, 40)), d)
-            p = prepare(g, d)
+            p = prepare(g)
             pca = search(p, d).pca
             for fit_fn in (Search.ufpca, Search.cfpca):
                 calls.clear()
@@ -498,7 +499,7 @@ class TestNumericGate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LinalgError, match="overflow float64"):
-                prepare(g, 1)
+                prepare(g)
 
     def test_non_finite_rows_rejected(self):
         g = random_grouped(np.random.default_rng(4), 5, 5, 3)
@@ -506,7 +507,7 @@ class TestNumericGate:
         x[7, 1] = np.nan
         bad = dataclasses.replace(g, features=x)
         with pytest.raises(LinalgError, match="overflow float64"):
-            prepare(bad, 1)
+            prepare(bad)
 
     def test_large_features_accepted(self):
         # 1e70 gives moments near 1e140 and fairness near 1e280: all finite
@@ -550,6 +551,54 @@ class TestHostileInputs:
             again = search(g, r)
             for fit, rerun in zip((pca, uf, cf), (again.pca, again.ufpca(), again.cfpca())):
                 assert json.dumps(fit_record(fit)) == json.dumps(fit_record(rerun))
+
+
+# each HOSTILE table's numerical rank, where it is below its width d:
+# four centered rows span 3 dimensions, and a constant, duplicated or
+# all-zero column adds none
+HOSTILE_RANK = {"d_gt_n": 3, "constant_column": 4, "duplicated_column": 4, "all_zero": 0}
+
+
+class TestNumericalRank:
+    """From the data's numerical rank on, plain PCA is exact and the fair
+    fits return it without a search."""
+
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_hostile_rank(self, case):
+        g = HOSTILE[case]
+        assert prepare(g).rank == HOSTILE_RANK.get(case, g.features.shape[1])
+
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_plain_pca_from_the_rank_on(self, case, monkeypatch):
+        g = HOSTILE[case]
+        d = g.features.shape[1]
+        calls = count_solves(monkeypatch)
+        for r in range(max(HOSTILE_RANK.get(case, d), 1), d + 1):
+            calls.clear()
+            s = search(g, r)
+            pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
+            assert len(calls) == 1  # plain PCA's; alpha = 1 reuses it
+            want = {**fit_record(pca), "method": None, "budget": None}
+            for fit in (uf, cf):
+                assert (fit.alpha, fit.iterations) == (1.0, 0)
+                got = {**fit_record(fit), "method": None, "budget": None}
+                assert json.dumps(got) == json.dumps(want)
+            assert cf.budget == pca.metrics.err_b
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        k=st.integers(1, 3),
+    )
+    def test_appended_combinations_lower_the_rank(self, seed, m, k):
+        # k columns that are integer combinations of m full-rank columns
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2 * m + 2, 40))
+        x = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m)
+        w = rng.integers(-3, 4, (m, k)).astype(float)
+        g = make_table(np.column_stack([x, x @ w]), ["a"] * (n // 2) + ["b"] * (n - n // 2))
+        assert prepare(g).rank == m
 
 
 class TestPlainPcaRoles:
@@ -602,7 +651,7 @@ class TestRoleAssignment:
         assert len(calls) == 1
 
         # the same roles, budget and metric order as plain PCA's
-        p = prepare(g, 2)
+        p = prepare(g)
         pca = search(p, 2).pca
         assert (fit.privileged, fit.harmed) == (pca.privileged, pca.harmed)
         if fit_fn is Search.cfpca:

@@ -185,3 +185,26 @@ class TestOutputContract:
         full = sym_eig_top_r(c, 5).vectors
         tied = [v for v in full.T if abs(v[0]) == abs(v[1]) > 0.0]
         assert tied and all(v[0] > 0.0 for v in tied)
+
+    def test_top_r_is_prefix_of_full(self):
+        # one full decomposition serves every rank of a Prepared: its first
+        # r pairs must be the rank-r solve's, bit for bit
+        rng = np.random.default_rng(10)
+        for d in (1, 2, 3, 5, 8, 13):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            repeated = rng.choice([-2.0, 0.0, 1.0, 3.0], size=d)
+            near = (q * repeated) @ q.T
+            x = rng.standard_normal((d + 3, d))
+            for c in (
+                rand_symmetric(rng, d),            # indefinite
+                scaled_gram(x, d + 3),             # positive definite
+                (near + near.T) * 0.5,             # repeated up to round-off
+                np.diag(repeated),                 # exactly repeated
+                np.zeros((d, d)),
+            ):
+                full = sym_eig_top_r(c, d)
+                for r in range(1, d + 1):
+                    top = sym_eig_top_r(c, r)
+                    assert full.values[:r].tobytes() == top.values.tobytes()
+                    prefix = np.ascontiguousarray(full.vectors[:, :r])
+                    assert prefix.tobytes() == top.vectors.tobytes()

@@ -119,7 +119,7 @@ class TestMetricProperties:
         rng = np.random.default_rng(6)
         g = random_grouped(rng, 30, 20, 5)
         u = search(g, 3).pca.u
-        moments = prepare(g, 1).moments
+        moments = prepare(g).moments
         base = moment_metrics(moments, u)
         for _ in range(10):
             q = rand_orthonormal(rng, 3, 3)
@@ -141,7 +141,7 @@ class TestMetricProperties:
         for _ in range(10):
             g = random_grouped(rng, 20, 15, 4)
             u = rand_orthonormal(rng, 4, 2)
-            m = moment_metrics(prepare(g, 1).moments, u)
+            m = moment_metrics(prepare(g).moments, u)
             mix = (20 * m.err_a + 15 * m.err_b) / 35
             assert m.overall_err == pytest.approx(mix, rel=1e-9)
             assert m.fairness == pytest.approx(m.disparity**2, rel=1e-12)
@@ -171,7 +171,7 @@ class TestMomentMetrics:
         g = _hostile_grouped(case)
         x = centered(g)
         d = x.shape[1]
-        moments = prepare(g, 1).moments
+        moments = prepare(g).moments
         rng = np.random.default_rng(18)
         for r in (1, 2, 3):
             for u in (rand_orthonormal(rng, d, r), search(g, r).pca.u):
