@@ -1,8 +1,8 @@
 """Command-line front end: generate synthetic data, fit, sweep, plot.
 
 Exit codes: 0 success, 1 bad flags or an invalid request for the given
-data, 2 data/schema errors, 3 numeric failures. Timing lines go to
-stderr so every report artifact stays byte-reproducible.
+data, 2 data/schema errors, 3 numeric failures. Timings go to stderr, one
+line per command, so every report artifact stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from .dataset import DataError, load_grouped, write_table
-from .fairpca import search
+from .fairpca import DEFAULT_TOL, search
 from .linalg import LinalgError
 from .report import (
     METHODS,
@@ -32,7 +33,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-TOL_HELP = "width of the final alpha bracket (default 1e-6)"
+TOL_HELP = f"width of the final alpha bracket (default {DEFAULT_TOL:g})"
 
 
 class _UsageError(Exception):
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--sensitive-col", required=True)
     fit.add_argument("--method", required=True, choices=METHODS)
     fit.add_argument("--rank", required=True, type=_positive_int)
-    fit.add_argument("--tol", type=_positive_float, default=1e-6, help=TOL_HELP)
+    fit.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help=TOL_HELP)
     fit.add_argument("--balanced", action="store_true")
     fit.add_argument("--output", type=Path)
 
@@ -85,7 +86,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--input", required=True, type=Path)
     sweep.add_argument("--sensitive-col", required=True)
     sweep.add_argument("--max-rank", required=True, type=_positive_int)
-    sweep.add_argument("--tol", type=_positive_float, default=1e-6, help=TOL_HELP)
+    sweep.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help=TOL_HELP)
     sweep.add_argument("--balanced", action="store_true")
     sweep.add_argument("--output", type=Path)
 
@@ -113,18 +114,17 @@ def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
     return table
 
 
-def _log_fit(dataset_id: str, method: str, r: int, runtime_ms: int) -> None:
-    print(
-        f"fit dataset={dataset_id} method={method} r={r} runtime_ms={runtime_ms}",
-        file=sys.stderr,
-    )
+def _log(line: str, start: float) -> None:
+    # the timed span runs from after loading to before writing
+    print(f"{line} runtime_ms={round((perf_counter() - start) * 1000.0)}", file=sys.stderr)
 
 
 def _cmd_fit(args) -> int:
     outputs = () if args.output is None else (args.output,)
     table = _setup(args, args.rank, "--rank", outputs)
-    fit, runtime_ms = fit_one(search(table, args.rank, args.tol), args.method)
-    _log_fit(args.input.stem, args.method, args.rank, runtime_ms)
+    start = perf_counter()
+    fit = fit_one(search(table, args.rank, args.tol), args.method)
+    _log(f"fit dataset={args.input.stem} method={args.method} r={args.rank}", start)
 
     text = json.dumps(fit_record(fit)) + "\n"
     if args.output is not None:
@@ -141,11 +141,11 @@ def _cmd_sweep(args) -> int:
         stem = args.output.name.removesuffix(".jsonl")
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
     table = _setup(args, args.max_rank, "--max-rank", outputs)
+    start = perf_counter()
     report = run_sweep(
         table, args.max_rank, args.tol, dataset_id=args.input.stem, balanced=args.balanced
     )
-    for row, runtime_ms in zip(report.rows, report.runtime_ms):
-        _log_fit(report.dataset_id, row["method"], row["r"], runtime_ms)
+    _log(f"sweep dataset={report.dataset_id} max_rank={args.max_rank}", start)
     if not outputs:
         write_report_jsonl(report, sys.stdout)
     for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):

@@ -68,6 +68,7 @@ __all__ = [
 # Relative slack allowed when verifying a constrained fit against its error budget.
 _BUDGET_SLACK = 1e-9
 _CENTER_TOL = 1e-6  # max |centered column sum| per row and unit of column scale
+DEFAULT_TOL = 1e-6  # final width of the alpha bracket
 
 METHOD_PCA = "pca"
 METHOD_UFPCA = "ufpca"
@@ -302,7 +303,7 @@ class Search:
         )
 
 
-def search(data: RawTable | Prepared, r: int, tol: float = 1e-6) -> Search:
+def search(data: RawTable | Prepared, r: int, tol: float = DEFAULT_TOL) -> Search:
     """The ``Search`` at rank r of the table or its ``Prepared`` form.
     ``tol`` is the alpha bracket's final width and must be > 0."""
     if not tol > 0.0:

@@ -6,10 +6,9 @@ one row per (rank, method) cell. A row is the dict that is written:
 in their declared order, so ``ROW_FIELDS`` is the only list of its keys.
 Reports are written both as line-delimited JSON (one self-contained
 record per line) and as a CSV table with the same field order, each row
-led by the report's ``dataset_id`` and ``balanced``. Wall-clock timings
-are collected per fit but deliberately kept out of both files so that
-repeated runs on the same input are byte-identical; they go to the
-timing log instead.
+led by the report's ``dataset_id`` and ``balanced``. Nothing here reads
+a clock, so repeated runs on the same input write identical bytes; the
+CLI times each command and logs that time to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from time import perf_counter
 
 from .dataset import DataError, RawTable
 from .fairpca import (
@@ -49,31 +47,25 @@ _TYPES = {"dataset_id": (str,), "balanced": (bool,), "r": (int,), "method": (str
 @dataclass(frozen=True)
 class SweepReport:
     """The rows of one sweep, each a dict keyed by ``ROW_FIELDS``, plus
-    what every written record repeats. ``runtime_ms`` holds each row's
-    fit time, in row order, for the timing log; it is never serialized
-    and is empty for a report read back from a file."""
+    what every written record repeats. It holds nothing that is not
+    written, so a report read back from its JSONL file equals it."""
 
     dataset_id: str
     balanced: bool
     rows: tuple[dict, ...]
-    runtime_ms: tuple[int, ...] = ()
 
 
-def fit_one(s: Search, method: str) -> tuple[FairFitResult, int]:
-    """Derive one method's fit from a rank's ``Search``; return the fit and
-    the ms it took, which include the root search only for the first fair
-    fit on ``s``. This is the only dispatch from a method name to its fit,
-    shared by a single fit and by every cell of a sweep."""
-    start = perf_counter()
+def fit_one(s: Search, method: str) -> FairFitResult:
+    """Derive one method's fit from a rank's ``Search``. This is the only
+    dispatch from a method name to its fit, shared by a single fit and by
+    every cell of a sweep."""
     if method == METHOD_PCA:
-        fit = s.pca
-    elif method == METHOD_UFPCA:
-        fit = s.ufpca()
-    elif method == METHOD_CFPCA:
-        fit = s.cfpca()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return fit, int(round((perf_counter() - start) * 1000.0))
+        return s.pca
+    if method == METHOD_UFPCA:
+        return s.ufpca()
+    if method == METHOD_CFPCA:
+        return s.cfpca()
+    raise ValueError(f"unknown method {method!r}")
 
 
 def run_sweep(
@@ -88,7 +80,7 @@ def run_sweep(
     p = prepare(table)
     p.check_rank(max_rank)
     searches = (search(p, r, tol) for r in range(1, max_rank + 1))
-    cells = [fit_one(s, method) for s in searches for method in METHODS]
+    fits = (fit_one(s, method) for s in searches for method in METHODS)
     rows = tuple(
         {
             "r": int(fit.u.shape[1]),
@@ -96,9 +88,9 @@ def run_sweep(
             "alpha": float(fit.alpha),
             **asdict(fit.metrics),
         }
-        for fit, _ in cells
+        for fit in fits
     )
-    return SweepReport(dataset_id, balanced, rows, tuple(ms for _, ms in cells))
+    return SweepReport(dataset_id, balanced, rows)
 
 
 def fit_record(fit: FairFitResult) -> dict:

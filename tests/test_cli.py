@@ -2,8 +2,10 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 from fairdim import cli, fairpca, report
 from fairdim.dataset import balance, load_grouped, load_table, write_table
-from fairdim.fairpca import search
+from fairdim.fairpca import DEFAULT_TOL, search
 from fairdim.linalg import LinalgError
 from fairdim.report import METHODS, fit_record, read_report_jsonl, run_sweep
 from fairdim.synth import s1_table
@@ -101,6 +103,10 @@ class TestFit:
         assert "runtime_ms" in captured.err
         assert "runtime_ms" not in captured.out
 
+    def test_fit_one_refuses_unknown_method(self, s1_grouped):
+        with pytest.raises(ValueError, match="unknown method"):
+            report.fit_one(search(s1_grouped, 1), "lda")
+
     def test_balanced_fit_matches_library(self, toy_csv, tmp_path):
         # the file `fit --output` writes is the library's record, byte for
         # byte, for every method with and without --balanced
@@ -162,6 +168,14 @@ class TestSweep:
         for ranks in per_method.values():
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
+
+    def test_report_reads_back_equal(self, s1_csv, tmp_path):
+        # a report holds nothing that its JSONL file leaves out
+        out = tmp_path / "report.jsonl"
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "2", "--output", str(out)) == 0
+        expected = run_sweep(load_grouped(s1_csv, "group"), 2, DEFAULT_TOL, "s1", False)
+        assert read_report_jsonl(out) == expected
 
     def test_dotted_output_name_keeps_its_dots(self, s1_csv, tmp_path):
         out = tmp_path / "report.v2.jsonl"
@@ -641,6 +655,56 @@ class TestSharedWork:
             counts.append(len(calls))
         capsys.readouterr()
         assert counts[0] == counts[1] > 0
+
+
+FIT_LOG = r"fit dataset=s1 method=(pca|ufpca|cfpca) r=([0-9]+) runtime_ms=([0-9]+)\n"
+SWEEP_LOG = r"sweep dataset=s1 max_rank=([0-9]+) runtime_ms=([0-9]+)\n"
+
+
+class TestTimingLog:
+    """``fit`` and ``sweep`` each log one stderr line, timing everything
+    between loading the table and writing the output."""
+
+    def test_fit_logs_one_line(self, s1_csv, tmp_path, capsys):
+        for method in METHODS:
+            assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                           "--method", method, "--rank", "1",
+                           "--output", str(tmp_path / "fit.json")) == 0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(FIT_LOG, captured.err).group(1, 2) == (method, "1")
+
+    def test_sweep_logs_one_line(self, s1_csv, tmp_path, capsys):
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "2", "--output", str(tmp_path / "report.jsonl")) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(SWEEP_LOG, captured.err).group(1) == "2"
+
+    @pytest.fixture()
+    def slow_eigh(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", slow)
+
+    def test_fit_time_covers_prepare_and_solves(self, s1_csv, slow_eigh, capsys):
+        # a pca fit makes one solve, in prepare, before the cached plain fit
+        assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--method", "pca", "--rank", "1") == 0
+        runtime_ms = re.fullmatch(FIT_LOG, capsys.readouterr().err).group(3)
+        assert int(runtime_ms) >= 50
+
+    def test_sweep_time_covers_every_solve(self, s1_csv, slow_eigh, monkeypatch, capsys):
+        calls = count_solves(monkeypatch)
+        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--max-rank", "2") == 0
+        runtime_ms = re.fullmatch(SWEEP_LOG, capsys.readouterr().err).group(2)
+        assert len(calls) > 1
+        assert int(runtime_ms) >= 50 * len(calls)
 
 
 @pytest.mark.parametrize("method", ["pca", "ufpca", "cfpca"])
