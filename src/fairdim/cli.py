@@ -33,9 +33,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-TOL_HELP = f"width of the final alpha bracket (default {DEFAULT_TOL:g})"
-
-
 class _UsageError(Exception):
     """Flag-level problem; maps to exit code 1."""
 
@@ -45,24 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
+def _positive(cast):
+    """An argparse type: the text read by ``cast``, refused unless above zero."""
 
+    def parse(text: str):
+        try:
+            if (value := cast(text)) > 0:  # NaN is not
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not a positive {cast.__name__}: {text!r}")
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
-    return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -72,27 +63,29 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="write the bundled synthetic dataset as CSV")
     gen.add_argument("--out", required=True, type=Path)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.set_defaults(run=_cmd_gen)
 
-    fit = sub.add_parser("fit", help="fit one method at one rank")
-    fit.add_argument("--input", required=True, type=Path)
-    fit.add_argument("--sensitive-col", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True, type=Path)
+    shared.add_argument("--sensitive-col", required=True)
+    shared.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL,
+                        help=f"width of the final alpha bracket (default {DEFAULT_TOL:g})")
+    shared.add_argument("--balanced", action="store_true")
+    shared.add_argument("--output", type=Path)
+
+    fit = sub.add_parser("fit", parents=[shared], help="fit one method at one rank")
     fit.add_argument("--method", required=True, choices=METHODS)
-    fit.add_argument("--rank", required=True, type=_positive_int)
-    fit.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help=TOL_HELP)
-    fit.add_argument("--balanced", action="store_true")
-    fit.add_argument("--output", type=Path)
+    fit.add_argument("--rank", required=True, type=_positive(int))
+    fit.set_defaults(run=_cmd_fit)
 
-    sweep = sub.add_parser("sweep", help="fit every method for ranks 1..max")
-    sweep.add_argument("--input", required=True, type=Path)
-    sweep.add_argument("--sensitive-col", required=True)
-    sweep.add_argument("--max-rank", required=True, type=_positive_int)
-    sweep.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL, help=TOL_HELP)
-    sweep.add_argument("--balanced", action="store_true")
-    sweep.add_argument("--output", type=Path)
+    sweep = sub.add_parser("sweep", parents=[shared], help="fit every method for ranks 1..max")
+    sweep.add_argument("--max-rank", required=True, type=_positive(int))
+    sweep.set_defaults(run=_cmd_sweep)
 
     plotdata = sub.add_parser("plotdata", help="emit plot series from a sweep report")
     plotdata.add_argument("--report", required=True, type=Path)
     plotdata.add_argument("--out-dir", required=True, type=Path)
+    plotdata.set_defaults(run=_cmd_plotdata)
 
     return parser
 
@@ -161,28 +154,19 @@ def _cmd_plotdata(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "gen": _cmd_gen,
-            "fit": _cmd_fit,
-            "sweep": _cmd_sweep,
-            "plotdata": _cmd_plotdata,
-        }[args.command]
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         print(f"fairdim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    # ahead of ValueError, which DataError is
+    except (DataError, OSError) as exc:
         print(f"fairdim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (LinalgError, ValueError) as exc:
         print(f"fairdim: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"fairdim: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 def run() -> None:

@@ -573,6 +573,34 @@ class TestExitCodes:
         assert "eigendecomposition failed" in capsys.readouterr().err
 
 
+class TestNotPositive:
+    """A --rank, --max-rank or --tol that is not a positive number is
+    refused with one line, before the input is read."""
+
+    @pytest.mark.parametrize("command, rank_flag", [("fit", "--rank"), ("sweep", "--max-rank")])
+    @pytest.mark.parametrize("bad", ["rank=0", "rank=-1", "rank=x", "rank=1.5",
+                                     "tol=0", "tol=-1e-3", "tol=nan", "tol=x"])
+    def test_refused_before_load(self, command, rank_flag, bad, tmp_path, capsys):
+        which, value = bad.split("=")
+        flag, kind = ("--tol", "float") if which == "tol" else (rank_flag, "int")
+        argv = [command, "--input", str(tmp_path / "missing.csv"), "--sensitive-col",
+                "group", "--output", str(tmp_path / "out.jsonl")]
+        if command == "fit":
+            argv += ["--method", "pca"]
+        if which == "tol":
+            argv.append(f"{rank_flag}=1")
+        argv.append(f"{flag}={value}")
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"fairdim: error: argument --(rank|max-rank|tol): not a positive (int|float): '.*'\n",
+            err,
+        )
+        assert err == f"fairdim: error: argument {flag}: not a positive {kind}: '{value}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSharedWork:
     @pytest.fixture()
     def wide_csv(self, toy_csv):

@@ -393,20 +393,11 @@ class TestCFpca:
         assert seen >= 2
 
     def test_one_decomposition_per_alpha(self, s1_grouped, monkeypatch):
-        import fairdim.fairpca as fairpca_module
-
-        calls = {"n": 0}
-        real = fairpca_module.sym_eig_top_r
-
-        def counting(c, r):
-            calls["n"] += 1
-            return real(c, r)
-
-        monkeypatch.setattr(fairpca_module, "sym_eig_top_r", counting)
+        calls = count_solves(monkeypatch)
         fit = search(s1_grouped, 1).cfpca()
         # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
         # one per halving and one at the secant point
-        assert calls["n"] == fit.iterations + 3
+        assert len(calls) == fit.iterations + 3
 
 
 class TestSharedSearch:
@@ -468,13 +459,7 @@ class TestFullRank:
     def test_full_rank_is_plain_pca(self, monkeypatch):
         # at r = d plain PCA reconstructs every row exactly and all errors
         # are round-off, so both searches must return it untouched
-        import fairdim.fairpca as fairpca_module
-
-        calls = []
-        real = fairpca_module.sym_eig_top_r
-        monkeypatch.setattr(
-            fairpca_module, "sym_eig_top_r", lambda *a: calls.append(1) or real(*a)
-        )
+        calls = count_solves(monkeypatch)
         rng = np.random.default_rng(15)
         for _ in range(400):
             d = int(rng.integers(2, 5))
