@@ -235,9 +235,12 @@ def _fairest(points) -> _Point:
 class Search:
     """The three fits at one rank. Plain PCA ``pca`` sets the roles: its
     privileged-first ``moments`` drive every blend, and its harmed error is
-    cfpca's budget. ``exact`` (r at least the data's rank) skips a search
-    on round-off. ``roots`` runs the root search both fair fits share on
-    first use, so a plain-PCA fit never pays for it."""
+    cfpca's budget. ``roots`` runs the root search both fair fits share on
+    first use, so a plain-PCA fit never pays for it. It skips the search
+    on round-off: when ``exact`` (r at least the data's rank), and when
+    plain PCA's disparity is at most d*eps*(tr_a + tr_b), the size of the
+    round-off in two group errors, so groups with the same covariance get
+    plain PCA."""
 
     pca: FairFitResult
     moments: Moments
@@ -254,12 +257,14 @@ class Search:
     @cached_property
     def roots(self) -> tuple[tuple[_Point, ...], int]:
         """The points ufpca picks from, and the halvings it took to find
-        them: plain PCA when it is exact or already fair, alpha = 0 when
-        even that leaves the harmed group worse off, and otherwise both
+        them: plain PCA when it is exact or fair up to round-off, alpha = 0
+        when even that leaves the harmed group worse off, and otherwise both
         ends of the bracket around the disparity's sign change plus the
         secant point between them."""
         one = self.evaluate(1.0)
-        if self.exact or one.metrics.disparity <= 0.0:
+        m = self.moments
+        round_off = len(m.c) * np.finfo(np.float64).eps * (m.tr_a + m.tr_b)
+        if self.exact or one.metrics.disparity <= round_off:
             return (one,), 0
         zero = self.evaluate(0.0)
         if zero.metrics.disparity > 0.0:

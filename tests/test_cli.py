@@ -234,17 +234,56 @@ class TestSweep:
         assert len(calls) == 2  # prepare's, once per call
 
 
+SWEEP = ("sweep", "--sensitive-col", "group", "--max-rank", "2")
+FIT_BALANCED = ("fit", "--sensitive-col", "group", "--method", "cfpca", "--rank", "1",
+                "--balanced")
+
+
 class TestDeterminism:
+    """What a run writes depends on the table alone: a second run writes
+    the same bytes, and so does the same table with quoted labels."""
+
+    @staticmethod
+    def written(argv, table, out_dir):
+        """Run ``argv`` on ``table`` with its output in ``out_dir``, and
+        return the bytes of every file the run wrote."""
+        out = out_dir / ("report.jsonl" if argv[0] == "sweep" else "fit.json")
+        assert run_cli(argv[0], "--input", str(table), *argv[1:], "--output", str(out)) == 0
+        paths = (out, out.with_suffix(".csv")) if argv[0] == "sweep" else (out,)
+        return [path.read_bytes() for path in paths]
+
+    def assert_repeatable(self, argv, table, tmp_path):
+        one, two = tmp_path / "one", tmp_path / "two"
+        one.mkdir()
+        two.mkdir()
+        assert self.written(argv, table, one) == self.written(argv, table, two)
+
     def test_repeated_sweep_byte_identical(self, s1_csv, tmp_path):
-        out1 = tmp_path / "r1.jsonl"
-        out2 = tmp_path / "r2.jsonl"
-        for out in (out1, out2):
-            assert run_cli(
-                "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--max-rank", "2", "--output", str(out),
-            ) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+        self.assert_repeatable(SWEEP, s1_csv, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param((*SWEEP, "--balanced"), id="sweep-balanced"),
+        pytest.param((*SWEEP, "--tol", "1e-2"), id="sweep-tol"),
+        pytest.param(FIT_BALANCED, id="fit-balanced"),
+    ])
+    def test_repeated_run_byte_identical(self, argv, s1_csv, tmp_path):
+        self.assert_repeatable(argv, s1_csv, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(SWEEP, id="sweep"),
+        pytest.param(FIT_BALANCED, id="fit-balanced"),
+    ])
+    def test_quoted_labels_byte_identical(self, argv, s1_csv, tmp_path):
+        # quotes send the table through the per-cell reader; the copy keeps
+        # the stem s1, so the reports name the same dataset
+        quoted = tmp_path / "q" / "s1.csv"
+        quoted.parent.mkdir()
+        text = re.sub(r",([ab])$", r',"\1"', s1_csv.read_text(encoding="utf-8"), flags=re.M)
+        assert text.count(',"a"\n') == 600 and text.count(',"b"\n') == 300
+        quoted.write_text(text, encoding="utf-8")
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert self.written(argv, quoted, quoted.parent) == self.written(argv, s1_csv, plain)
 
 
 class TestOutputOverInput:
@@ -599,6 +638,16 @@ class TestNotPositive:
         )
         assert err == f"fairdim: error: argument {flag}: not a positive {kind}: '{value}'\n"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_help_lists_the_shared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--help")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--input", "--sensitive-col", "--tol", "--balanced", "--output"):
+        assert re.search(f"^  {flag}( |$)", out, re.M), flag
 
 
 class TestSharedWork:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairdim.fairpca import (
     FairFitResult,
@@ -503,6 +503,26 @@ class TestNumericGate:
             assert 0.0 <= fit.alpha <= 1.0
 
 
+def same_rows_twice(rng, n, d):
+    """Both groups hold the same n rows, in another order and offset by 5:
+    their covariances are equal, and every disparity is round-off."""
+    x = rng.standard_normal((n, d)) * np.linspace(1.0, 3.0, d) + 5.0
+    return make_table(np.vstack([x, x[rng.permutation(n)]]), ["a"] * n + ["b"] * n)
+
+
+def eigenvalue_tie(rng, n_a, n_b, d):
+    """Rows whose covariance has eigenvalues k and k + 1 (k drawn in 1..d-1)
+    1e-12 apart, so plain PCA's rank-k subspace is barely determined."""
+    n = n_a + n_b
+    values = np.sort(rng.uniform(0.5, 3.0, d))[::-1]
+    k = int(rng.integers(1, d))
+    values[k] = values[k - 1] - 1e-12
+    z = rng.standard_normal((n, d))
+    q = np.linalg.qr(z - z.mean(axis=0))[0]  # centered, orthonormal columns
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return make_table(np.sqrt(n) * (q * np.sqrt(values)) @ basis.T, ["a"] * n_a + ["b"] * n_b)
+
+
 def hostile_tables():
     """Shapes that strain a fit, each of which loads and fits today."""
     rng = np.random.default_rng(61)
@@ -516,26 +536,80 @@ def hostile_tables():
         "scaled_1e-150": make_table(1e-150 * x, labels),
         "one_row_group": random_grouped(rng, 15, 1, 3),
         "all_zero": make_table(np.zeros((6, 3)), list("aaabbb")),
+        "identical_covariance": same_rows_twice(rng, 200, 5),
     }
 
 
 HOSTILE = hostile_tables()
 
 
+def hostile_draw(family, rng, n_a, n_b, d):
+    """A table of one ``HOSTILE`` shape, or an ``eigenvalue_tie``, at drawn
+    sizes: n_a and n_b rows per group (before the shape's own changes) and
+    d columns (d more than the rows for d_gt_n)."""
+    if family == "d_gt_n":
+        return random_grouped(rng, n_a, n_b, n_a + n_b + d)
+    if family == "imbalance_14_to_1":
+        return random_grouped(rng, 14 * n_b, n_b, d)
+    if family == "one_row_group":
+        return random_grouped(rng, n_a, 1, d)
+    if family == "all_zero":
+        return make_table(np.zeros((n_a + n_b, d)), ["a"] * n_a + ["b"] * n_b)
+    if family == "identical_covariance":
+        return same_rows_twice(rng, n_a + n_b, d)
+    if family == "eigenvalue_tie":
+        return eigenvalue_tie(rng, n_a + d, n_b + d, d + 1)
+    g = random_grouped(rng, n_a, n_b, d)
+    x, labels = g.features, row_labels(g)
+    if family == "scaled_1e-150":
+        return make_table(1e-150 * x, labels)
+    extra = {"constant_column": np.full(len(x), 3.0), "duplicated_column": x[:, 0]}[family]
+    return make_table(np.column_stack([x, extra]), labels)
+
+
+def assert_every_rank_fits(g):
+    for r in range(1, g.features.shape[1] + 1):
+        s = search(g, r)
+        pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
+        for fit in (pca, uf, cf):
+            assert 0.0 <= fit.alpha <= 1.0
+        assert abs(uf.metrics.disparity) <= abs(pca.metrics.disparity)
+        assert cf.metrics.err_a <= cf.budget and cf.metrics.err_b <= cf.budget
+        again = search(g, r)
+        for fit, rerun in zip((pca, uf, cf), (again.pca, again.ufpca(), again.cfpca())):
+            assert json.dumps(fit_record(fit)) == json.dumps(fit_record(rerun))
+
+
 class TestHostileInputs:
     @pytest.mark.parametrize("case", HOSTILE)
     def test_every_rank_fits(self, case):
-        g = HOSTILE[case]
+        assert_every_rank_fits(HOSTILE[case])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from([*HOSTILE, "eigenvalue_tie"]),
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 12),
+        n_b=st.integers(1, 8),
+        d=st.integers(1, 6),
+    )
+    # ufpca used to leave plain PCA on round-off here, for a less fair fit
+    @example(family="identical_covariance", seed=3619555525, n_a=11, n_b=1, d=3)
+    def test_every_rank_fits_at_drawn_sizes(self, family, seed, n_a, n_b, d):
+        assert_every_rank_fits(hostile_draw(family, np.random.default_rng(seed), n_a, n_b, d))
+
+    def test_identical_covariances_get_plain_pca(self, monkeypatch):
+        # every disparity is round-off, which used to start a search that
+        # left plain PCA for a fit with several times its overall error
+        g = HOSTILE["identical_covariance"]
+        calls = count_solves(monkeypatch)
         for r in range(1, g.features.shape[1] + 1):
+            calls.clear()
             s = search(g, r)
-            pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
-            for fit in (pca, uf, cf):
-                assert 0.0 <= fit.alpha <= 1.0
-            assert abs(uf.metrics.disparity) <= abs(pca.metrics.disparity)
-            assert cf.metrics.err_a <= cf.budget and cf.metrics.err_b <= cf.budget
-            again = search(g, r)
-            for fit, rerun in zip((pca, uf, cf), (again.pca, again.ufpca(), again.cfpca())):
-                assert json.dumps(fit_record(fit)) == json.dumps(fit_record(rerun))
+            for fit in (s.ufpca(), s.cfpca()):
+                assert (fit.alpha, fit.iterations) == (1.0, 0)
+                assert np.array_equal(fit.u, s.pca.u)
+            assert len(calls) == 1  # prepare's; alpha = 1 reuses it
 
 
 # each HOSTILE table's numerical rank, where it is below its width d:
