@@ -42,16 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive(cast):
-    """An argparse type: the text read by ``cast``, refused unless above zero."""
+def _above(floor, cast, kind="positive"):
+    """An argparse type: the text read by ``cast``, refused unless above ``floor``."""
 
     def parse(text: str):
         try:
-            if (value := cast(text)) > 0:  # NaN is not
+            if (value := cast(text)) > floor:  # NaN is not
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"not a positive {cast.__name__}: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a {kind} {cast.__name__}: {text!r}")
 
     return parse
 
@@ -62,24 +62,24 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="write the bundled synthetic dataset as CSV")
     gen.add_argument("--out", required=True, type=Path)
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.add_argument("--seed", type=_above(-1, int, "non-negative"), default=DEFAULT_SEED)
     gen.set_defaults(run=_cmd_gen)
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--input", required=True, type=Path)
     shared.add_argument("--sensitive-col", required=True)
-    shared.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL,
+    shared.add_argument("--tol", type=_above(0, float), default=DEFAULT_TOL,
                         help=f"width of the final alpha bracket (default {DEFAULT_TOL:g})")
     shared.add_argument("--balanced", action="store_true")
     shared.add_argument("--output", type=Path)
 
     fit = sub.add_parser("fit", parents=[shared], help="fit one method at one rank")
     fit.add_argument("--method", required=True, choices=METHODS)
-    fit.add_argument("--rank", required=True, type=_positive(int))
+    fit.add_argument("--rank", required=True, type=_above(0, int))
     fit.set_defaults(run=_cmd_fit)
 
     sweep = sub.add_parser("sweep", parents=[shared], help="fit every method for ranks 1..max")
-    sweep.add_argument("--max-rank", required=True, type=_positive(int))
+    sweep.add_argument("--max-rank", required=True, type=_above(0, int))
     sweep.set_defaults(run=_cmd_sweep)
 
     plotdata = sub.add_parser("plotdata", help="emit plot series from a sweep report")
@@ -96,12 +96,12 @@ def _cmd_gen(args) -> int:
 
 
 def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
-    """Refuse an output path that is ``--input``, load the table and check
-    ``rank`` against its width."""
+    """Load the table (so the loader names a missing input), then refuse an
+    output path that is ``--input`` and a ``rank`` above the table's width."""
+    table = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     for out in outputs:
         if out.exists() and out.samefile(args.input):
             raise _UsageError(f"output {out} would overwrite --input {args.input}")
-    table = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     if rank > table.features.shape[1]:
         raise _UsageError(f"{flag} {rank} exceeds feature count {table.features.shape[1]}")
     return table

@@ -1,13 +1,13 @@
 """Dense real-matrix helpers and the symmetric eigensolver.
 
-Matrices are plain 2-D float64 numpy arrays. The gram and the
-eigensolver do no numeric validation of their own: ``fairpca.prepare``
-checks once that the second moments are finite, and every matrix built
-from them after that is finite and bitwise symmetric by construction. The
-eigendecomposition is LAPACK's symmetric solver (``numpy.linalg.eigh``);
-a solver failure raises ``LinalgError`` rather than returning
-unconverged pairs. All functions are pure and deterministic: identical
-input bytes give identical output bytes.
+Matrices are plain 2-D float64 numpy arrays. Nothing here checks its
+arguments: ``RawTable`` puts a row in each group, ``fairpca.prepare``
+checks once that the second moments are finite (every blend of them is
+then finite and bitwise symmetric by construction) and ``search`` checks
+the rank. The one error raised is LAPACK's: a failure of its symmetric
+solver (``numpy.linalg.eigh``) raises ``LinalgError`` rather than
+returning unconverged pairs. All functions are pure and deterministic:
+identical input bytes give identical output bytes.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ class LinalgError(ValueError):
 def scaled_gram(x, divisor: int) -> np.ndarray:
     """Return ``x.T @ x / divisor``, symmetrized to kill round-off skew.
 
-    Symmetrizing via (M + M.T)/2 makes the result bitwise symmetric, so
-    every blend of such grams is too. A non-finite entry of ``x`` makes
-    its own diagonal term non-finite, which ``fairpca.prepare`` rejects.
+    ``divisor`` must be a positive count. Symmetrizing via (M + M.T)/2
+    makes the result bitwise symmetric, so every blend of such grams is
+    too. A non-finite entry of ``x`` makes its own diagonal term
+    non-finite, which ``fairpca.prepare`` rejects.
     """
     x = np.asarray(x, dtype=np.float64)
-    if divisor < 1:
-        raise LinalgError(f"divisor must be a positive count, got {divisor}")
     g = (x.T @ x) / float(divisor)
     return (g + g.T) * 0.5
 
@@ -53,19 +52,14 @@ class EigenPairs(NamedTuple):
 def sym_eig_top_r(c, r: int) -> EigenPairs:
     """The ``r`` eigenpairs of symmetric ``c`` with algebraically largest values.
 
-    ``c`` must be finite and symmetric; only its lower triangle is read.
-    Ordering is by signed value, not magnitude: for indefinite matrices the
-    trace-maximizing subspace takes the largest signed eigenvalues. Ties are
-    broken by the solver's original (ascending) output order through a
-    stable sort, and each eigenvector is flipped so that its largest-
-    magnitude entry (lowest index on ties) is positive, so output is
-    deterministic. Raises ``LinalgError`` if LAPACK fails to converge.
+    ``c`` must be finite, symmetric and d x d (only its lower triangle is
+    read), and ``1 <= r <= d``. Ordering is by signed value, not magnitude:
+    for indefinite matrices the trace-maximizing subspace takes the largest
+    signed eigenvalues. Ties are broken by the solver's original (ascending)
+    output order through a stable sort, and each eigenvector is flipped so
+    that its largest-magnitude entry (lowest index on ties) is positive, so
+    output is deterministic. Raises ``LinalgError`` where ``eigh`` fails.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise LinalgError(f"matrix must be square, got shape {c.shape}")
-    if not 1 <= r <= c.shape[0]:
-        raise LinalgError(f"rank must satisfy 1 <= r <= {c.shape[0]}, got {r}")
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:

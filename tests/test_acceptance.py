@@ -177,8 +177,8 @@ def test_criterion_6_constrained_fit_contract():
     for g, r in instances:
         fit = search(g, r).cfpca()
         pca = search(g, r).pca
-        assert fit.metrics.err_a <= fit.budget + 1e-9
-        assert fit.metrics.err_b <= fit.budget + 1e-9
+        assert fit.metrics.err_a <= fit.budget
+        assert fit.metrics.err_b <= fit.budget
         assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
         assert fit.budget == pca.metrics.err_b  # harmed group's baseline error
         assert search(g, r).ufpca().metrics.fairness <= pca.metrics.fairness + 1e-12

@@ -48,6 +48,16 @@ class TestGen:
         run_cli("gen", "--out", str(b), "--seed", "7")
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_seed_refused_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        assert run_cli("gen", "--out", str(out), "--seed", "-1") == 1
+        assert capsys.readouterr().err == (
+            "fairdim: error: argument --seed: not a non-negative int: '-1'\n"
+        )
+        assert not out.exists()
+        assert run_cli("gen", "--out", str(out), "--seed", "0") == 0
+        assert out.stat().st_size > 0
+
     def test_group_sizes(self, s1_csv):
         table = load_table(s1_csv, "group")
         assert (table.label_a, table.label_b) == ("a", "b")
@@ -544,6 +554,24 @@ class TestExitCodes:
         bad.write_text("group,x\na,1\nb,zzz\n", encoding="utf-8")
         assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 2
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_missing_input_over_an_existing_output(self, command, tmp_path, capsys):
+        # the loader names the missing file, whether or not --output exists
+        missing = tmp_path / "nope.csv"
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n", encoding="utf-8")
+        argv = [command, "--input", str(missing), "--sensitive-col", "group"]
+        argv += ["--method", "pca", "--rank", "1"] if command == "fit" else ["--max-rank", "1"]
+        errs = []
+        for extra in ([], ["--output", str(out)]):
+            assert run_cli(*argv, *extra) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"fairdim: data error: cannot open {missing}: [Errno 2]")
+        assert errs[0].count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [out]
 
     def test_undecodable_input(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"

@@ -18,10 +18,6 @@ class TestScaledGram:
     def test_zero_input(self):
         assert np.array_equal(scaled_gram(np.zeros((5, 3)), 5), np.zeros((3, 3)))
 
-    def test_bad_divisor(self):
-        with pytest.raises(LinalgError):
-            scaled_gram(np.eye(2), 0)
-
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((40, 9))
@@ -50,12 +46,6 @@ class TestSymEigTopR:
     def test_rejects_non_square(self):
         with pytest.raises(LinalgError):
             sym_eig_top_r(np.ones((2, 3)), 1)
-
-    def test_rejects_rank_out_of_range(self):
-        with pytest.raises(LinalgError):
-            sym_eig_top_r(np.eye(3), 0)
-        with pytest.raises(LinalgError):
-            sym_eig_top_r(np.eye(3), 4)
 
     def test_zero_matrix(self):
         out = sym_eig_top_r(np.zeros((3, 3)), 3)
