@@ -1,4 +1,4 @@
-"""Command-line front end: generate synthetic data, fit, sweep, plot.
+"""Command-line front end: generate synthetic data, fit one method, sweep ranks.
 
 Exit codes: 0 success, 1 bad flags or an invalid request for the given
 data, 2 data/schema errors, 3 numeric failures. Timings go to stderr, one
@@ -20,9 +20,7 @@ from .report import (
     METHODS,
     fit_one,
     fit_record,
-    read_report_jsonl,
     run_sweep,
-    write_plot_series,
     write_report_csv,
     write_report_jsonl,
 )
@@ -82,11 +80,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--max-rank", required=True, type=_above(0, int))
     sweep.set_defaults(run=_cmd_sweep)
 
-    plotdata = sub.add_parser("plotdata", help="emit plot series from a sweep report")
-    plotdata.add_argument("--report", required=True, type=Path)
-    plotdata.add_argument("--out-dir", required=True, type=Path)
-    plotdata.set_defaults(run=_cmd_plotdata)
-
     return parser
 
 
@@ -144,12 +137,6 @@ def _cmd_sweep(args) -> int:
     for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
         with path.open("w", encoding="utf-8") as fh:
             write(report, fh)
-    return EXIT_OK
-
-
-def _cmd_plotdata(args) -> int:
-    report = read_report_jsonl(args.report)
-    write_plot_series(report, args.out_dir)
     return EXIT_OK
 
 

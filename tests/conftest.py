@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairdim.dataset import RawTable, write_table
 from fairdim.linalg import LinalgError
+from fairdim.report import ROW_FIELDS, SweepReport
 from fairdim.synth import s1_table
 
 _PROJ_ORTHO_TOL = 1e-6
@@ -93,6 +97,15 @@ def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int) -> RawT
     feats = np.vstack([xa, xb])
     labels = ["a"] * n_a + ["b"] * n_b
     return make_table(feats, labels)
+
+
+def load_report(path) -> SweepReport:
+    """A sweep's JSONL report read back: each line is one record, and the
+    first record's ``dataset_id`` and ``balanced`` head the report."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    rows = tuple({k: rec[k] for k in ROW_FIELDS} for rec in records)
+    return SweepReport(records[0]["dataset_id"], records[0]["balanced"], rows)
 
 
 def count_solves(monkeypatch) -> list:

@@ -16,10 +16,10 @@ from fairdim import cli, fairpca, report
 from fairdim.dataset import balance, load_grouped, load_table, write_table
 from fairdim.fairpca import DEFAULT_TOL, search
 from fairdim.linalg import LinalgError
-from fairdim.report import METHODS, fit_record, read_report_jsonl, run_sweep
+from fairdim.report import METHODS, fit_record, run_sweep
 from fairdim.synth import s1_table
 
-from conftest import centered, count_solves
+from conftest import centered, count_solves, load_report
 
 
 def run_cli(*argv):
@@ -166,7 +166,7 @@ class TestSweep:
         ) == 0
         csv_path = tmp_path / "report.csv"
         assert out.exists() and csv_path.exists()
-        report = read_report_jsonl(out)
+        report = load_report(out)
         assert report.dataset_id == "s1"
         seen = set()
         per_method = {}
@@ -185,7 +185,7 @@ class TestSweep:
         assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--max-rank", "2", "--output", str(out)) == 0
         expected = run_sweep(load_grouped(s1_csv, "group"), 2, DEFAULT_TOL, "s1", False)
-        assert read_report_jsonl(out) == expected
+        assert load_report(out) == expected
 
     def test_dotted_output_name_keeps_its_dots(self, s1_csv, tmp_path):
         out = tmp_path / "report.v2.jsonl"
@@ -196,7 +196,7 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "report.v2.csv", "report.v2.jsonl", "s1.csv",
         ]
-        assert read_report_jsonl(out).dataset_id == "s1"
+        assert load_report(out).dataset_id == "s1"
 
     def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
         rng = np.random.default_rng(23)
@@ -358,174 +358,28 @@ class TestReportContract:
                        "--max-rank", "2", "--output", str(out)) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 6
-        for line in lines:
-            assert tuple(json.loads(line)) == self.SWEEP_KEYS
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            assert tuple(rec) == self.SWEEP_KEYS
         with (tmp_path / "report.csv").open(newline="", encoding="utf-8") as fh:
-            assert tuple(next(csv.reader(fh))) == self.SWEEP_KEYS
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == self.SWEEP_KEYS
         assert ("dataset_id", "balanced", *report.ROW_FIELDS) == self.SWEEP_KEYS
+        # the figure series are read from the CSV: each of their cells is
+        # the text of the JSONL record's value, in (rank, method) order
+        assert [(row["r"], row["method"]) for row in rows] == [
+            (str(r), method) for r in (1, 2) for method in METHODS
+        ]
+        figure = ("r", "method", "overall_err", "err_a", "err_b", "fairness")
+        assert [[row[k] for k in figure] for row in rows] == [
+            [str(rec[k]) for k in figure] for rec in records
+        ]
 
     def test_fit_record_keys(self, s1_csv, capsys):
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "cfpca", "--rank", "1") == 0
         assert tuple(json.loads(capsys.readouterr().out)) == self.FIT_KEYS
-
-
-class TestPlotdata:
-    def test_point_counts(self, s1_csv, tmp_path):
-        out = tmp_path / "report.jsonl"
-        # rank 2 data has d=2; build a 4-rank report from a wider toy instead
-        rng = np.random.default_rng(21)
-        from fairdim.dataset import write_table, RawTable
-
-        feats = rng.standard_normal((40, 4))
-        table = RawTable(
-            features=feats,
-            in_a=np.arange(40) < 25,
-            label_a="a",
-            label_b="b",
-            feature_names=("w", "x", "y", "z"),
-            sensitive_name="group",
-        )
-        wide = tmp_path / "wide.csv"
-        write_table(table, wide)
-        assert run_cli(
-            "sweep", "--input", str(wide), "--sensitive-col", "group",
-            "--max-rank", "4", "--output", str(out),
-        ) == 0
-        plots = tmp_path / "plots"
-        assert run_cli("plotdata", "--report", str(out), "--out-dir", str(plots)) == 0
-        overall = (plots / "overall_error_vs_rank.csv").read_text().splitlines()
-        assert len(overall) == 1 + 12  # header + 3 methods x 4 ranks
-        fairness = (plots / "fairness_vs_rank.csv").read_text().splitlines()
-        assert len(fairness) == 1 + 12
-        for method in ("pca", "ufpca", "cfpca"):
-            series = (plots / f"group_errors_{method}.csv").read_text().splitlines()
-            assert len(series) == 1 + 4
-
-    def test_empty_report(self, tmp_path):
-        report = tmp_path / "empty.jsonl"
-        report.write_text("", encoding="utf-8")
-        plots = tmp_path / "plots"
-        assert run_cli("plotdata", "--report", str(report), "--out-dir", str(plots)) == 0
-        assert (plots / "overall_error_vs_rank.csv").read_text() == "r,method,overall_err\n"
-        assert (plots / "fairness_vs_rank.csv").read_text() == "r,method,fairness\n"
-
-    def test_round_trip_byte_identical(self, s1_csv, tmp_path):
-        out = tmp_path / "report.jsonl"
-        run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--max-rank", "2", "--output", str(out))
-        plots1 = tmp_path / "p1"
-        run_cli("plotdata", "--report", str(out), "--out-dir", str(plots1))
-        # re-serialize the parsed report, then regenerate the series
-        from fairdim.report import write_report_jsonl
-
-        report = read_report_jsonl(out)
-        out2 = tmp_path / "report2.jsonl"
-        with out2.open("w", encoding="utf-8") as fh:
-            write_report_jsonl(report, fh)
-        assert out2.read_bytes() == out.read_bytes()
-        plots2 = tmp_path / "p2"
-        run_cli("plotdata", "--report", str(out2), "--out-dir", str(plots2))
-        for name in ("overall_error_vs_rank.csv", "fairness_vs_rank.csv",
-                     "group_errors_pca.csv"):
-            assert (plots1 / name).read_bytes() == (plots2 / name).read_bytes()
-
-    def test_malformed_report(self, tmp_path, capsys):
-        report = tmp_path / "bad.jsonl"
-        report.write_text("{not json}\n", encoding="utf-8")
-        plots = tmp_path / "plots"
-        assert run_cli("plotdata", "--report", str(report), "--out-dir", str(plots)) == 2
-        assert "malformed" in capsys.readouterr().err
-
-    GOOD = {"dataset_id": "s1", "balanced": False, "r": 1, "method": "pca",
-            "alpha": 1.0, "overall_err": 0.5, "err_a": 0.25, "err_b": 0.75,
-            "disparity": 0.5, "fairness": 0.25}
-
-    def plot(self, tmp_path, record):
-        path = tmp_path / "report.jsonl"
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        return run_cli("plotdata", "--report", str(path), "--out-dir", str(tmp_path / "plots"))
-
-    def test_well_formed_record_reads(self, tmp_path):
-        assert self.plot(tmp_path, self.GOOD) == 0
-        assert (tmp_path / "plots" / "group_errors_pca.csv").read_text() == "r,err_a,err_b\n1,0.25,0.75\n"
-
-    @pytest.mark.parametrize("key", report.ROW_FIELDS)
-    def test_missing_field(self, key, tmp_path, capsys):
-        record = {k: v for k, v in self.GOOD.items() if k != key}
-        assert self.plot(tmp_path, record) == 2
-        assert "malformed" in capsys.readouterr().err
-
-    def test_non_numeric_alpha(self, tmp_path, capsys):
-        assert self.plot(tmp_path, {**self.GOOD, "alpha": "high"}) == 2
-        assert "malformed" in capsys.readouterr().err
-
-    def test_unknown_method(self, tmp_path, capsys):
-        assert self.plot(tmp_path, {**self.GOOD, "method": "lda"}) == 2
-        err = capsys.readouterr().err
-        assert "malformed" in err and "unknown method 'lda'" in err
-
-    def test_non_integer_rank(self, tmp_path, capsys):
-        # 2.7 used to be plotted at r = 2, and true at r = 1
-        for r in (2.7, True):
-            assert self.plot(tmp_path, {**self.GOOD, "r": r}) == 2
-            assert "malformed" in capsys.readouterr().err
-
-    def test_boolean_measure(self, tmp_path, capsys):
-        # true used to be read as 1.0
-        for key in ("alpha", "fairness"):
-            assert self.plot(tmp_path, {**self.GOOD, key: True}) == 2
-            assert "malformed" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, literal", [
-        ("alpha", "NaN"),
-        ("overall_err", "Infinity"),
-        ("disparity", "-Infinity"),
-        ("fairness", "1" + "0" * 400),
-    ])
-    def test_non_finite_measure(self, key, literal, tmp_path, capsys):
-        # NaN and Infinity used to exit 0 and write nan/inf into the series,
-        # and an integer past float64 stopped with a traceback
-        line = json.dumps({**self.GOOD, key: 0.0}).replace("0.0", literal, 1)
-        assert f'"{key}": {literal}' in line
-        path = tmp_path / "report.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
-        plots = tmp_path / "plots"
-        assert run_cli("plotdata", "--report", str(path), "--out-dir", str(plots)) == 2
-        assert f"{path}:1: malformed report line: " in capsys.readouterr().err
-        assert not plots.exists()
-
-    def test_mixed_reports(self, tmp_path, capsys):
-        # the last line's dataset_id and balanced used to win
-        path = tmp_path / "two.jsonl"
-        for key, other in (("dataset_id", "s2"), ("balanced", True)):
-            second = {**self.GOOD, "r": 2, key: other}
-            path.write_text(
-                "".join(json.dumps(rec) + "\n" for rec in (self.GOOD, second)),
-                encoding="utf-8",
-            )
-            assert run_cli("plotdata", "--report", str(path),
-                           "--out-dir", str(tmp_path / "plots")) == 2
-            assert f"{path}:2: mixed reports" in capsys.readouterr().err
-
-    def test_rank_below_one(self, tmp_path, capsys):
-        # r = 0 used to be plotted at rank 0
-        for r in (0, -1):
-            assert self.plot(tmp_path, {**self.GOOD, "r": r}) == 2
-            path = tmp_path / "report.jsonl"
-            assert f"{path}:1: rank {r} is below 1" in capsys.readouterr().err
-
-    def test_repeated_cell(self, s1_csv, tmp_path, capsys):
-        # one report written twice used to plot every point twice
-        once = tmp_path / "once.jsonl"
-        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                       "--max-rank", "2", "--output", str(once)) == 0
-        twice = tmp_path / "twice.jsonl"
-        twice.write_text(once.read_text(encoding="utf-8") * 2, encoding="utf-8")
-        plots = tmp_path / "plots"
-        assert run_cli("plotdata", "--report", str(twice), "--out-dir", str(plots)) == 2
-        assert f"{twice}:7: repeated cell r=1 method='pca'" in capsys.readouterr().err
-        assert not plots.exists()
 
 
 class TestExitCodes:
@@ -579,11 +433,6 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 2
         assert "data error: " + str(bad) + ": not UTF-8 text" in capsys.readouterr().err
-        report = tmp_path / "latin1.jsonl"
-        report.write_bytes(b'{"dataset_id":"\xe9"}\n')
-        assert run_cli("plotdata", "--report", str(report),
-                       "--out-dir", str(tmp_path / "plots")) == 2
-        assert "data error: " + str(report) + ": not UTF-8 text" in capsys.readouterr().err
 
     def test_field_over_csv_limit(self, tmp_path, capsys):
         bad = tmp_path / "long.csv"
