@@ -14,16 +14,9 @@ from pathlib import Path
 from time import perf_counter
 
 from .dataset import DataError, load_grouped, write_table
-from .fairpca import DEFAULT_TOL, search
+from .fairpca import DEFAULT_TOL, METHODS, fit_one, search
 from .linalg import LinalgError
-from .report import (
-    METHODS,
-    fit_one,
-    fit_record,
-    run_sweep,
-    write_report_csv,
-    write_report_jsonl,
-)
+from .report import fit_record, run_sweep, write_report_csv, write_report_jsonl
 from .synth import DEFAULT_SEED, s1_table
 
 EXIT_OK = 0
@@ -128,15 +121,13 @@ def _cmd_sweep(args) -> int:
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
     table = _setup(args, args.max_rank, "--max-rank", outputs)
     start = perf_counter()
-    report = run_sweep(
-        table, args.max_rank, args.tol, dataset_id=args.input.stem, balanced=args.balanced
-    )
-    _log(f"sweep dataset={report.dataset_id} max_rank={args.max_rank}", start)
+    records = run_sweep(table, args.max_rank, args.tol, args.input.stem, args.balanced)
+    _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)
     if not outputs:
-        write_report_jsonl(report, sys.stdout)
+        write_report_jsonl(records, sys.stdout)
     for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
         with path.open("w", encoding="utf-8") as fh:
-            write(report, fh)
+            write(records, fh)
     return EXIT_OK
 
 

@@ -203,7 +203,7 @@ def _load_plain(path: Path, sensitive_column: str) -> RawTable | None:
     return _table(path, sensitive_column, features, labels, feature_names)
 
 
-def _records(path: Path, fh):
+def _csv_rows(path: Path, fh):
     """csv.reader's records, with undecodable text and csv's own errors
     (a field over ``csv.field_size_limit()``) raised as DataErrors."""
     reader = csv.reader(fh)
@@ -218,7 +218,7 @@ def _records(path: Path, fh):
 def _load_cells(path: Path, sensitive_column: str) -> RawTable:
     """The per-cell reader: csv.reader plus float(), naming the first bad cell."""
     with _open(path) as fh:
-        reader = _records(path, fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

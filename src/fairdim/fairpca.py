@@ -38,7 +38,9 @@ data's numerical rank on, plain PCA is exact and the fair fits return it.
 ``search(data, r, tol)`` is the one way to a fit. It returns the
 ``Search`` record that the three fits at one rank share: ``.pca`` is plain
 PCA, and ``.ufpca()`` and ``.cfpca()`` share one root search, run on first
-use. For example, ``s = search(table, r=1)`` then ``s.cfpca()``. A sweep
+use. For example, ``s = search(table, r=1)`` then ``s.cfpca()``, or
+``fit_one(s, "cfpca")``: the one dispatch from a name in ``METHODS`` to
+its fit, shared by the CLI's ``fit`` and every cell of a sweep. A sweep
 shares one ``Prepared`` plus one ``Search`` per rank. A ``Search`` is
 safe to share between threads: two that first use it together may both
 run its root search, with identical results.
@@ -57,11 +59,13 @@ from .linalg import EigenPairs, LinalgError, scaled_gram, sym_eig_top_r
 from .metrics import GroupMetrics, Moments, moment_metrics
 
 __all__ = [
+    "METHODS",
     "FairFitResult",
     "Prepared",
     "prepare",
     "Search",
     "search",
+    "fit_one",
     "weighted_covariance",
 ]
 
@@ -71,6 +75,7 @@ DEFAULT_TOL = 1e-6  # final width of the alpha bracket
 METHOD_PCA = "pca"
 METHOD_UFPCA = "ufpca"
 METHOD_CFPCA = "cfpca"
+METHODS = (METHOD_PCA, METHOD_UFPCA, METHOD_CFPCA)
 
 
 @dataclass(frozen=True)
@@ -315,3 +320,14 @@ def search(data: RawTable | Prepared, r: int, tol: float = DEFAULT_TOL) -> Searc
         data = prepare(data)
     data.check_rank(r)
     return Search(*_plain(data, r), tol, r >= data.rank)
+
+
+def fit_one(s: Search, method: str) -> FairFitResult:
+    """The fit that ``method``, one of ``METHODS``, names in a rank's ``Search``."""
+    if method == METHOD_PCA:
+        return s.pca
+    if method == METHOD_UFPCA:
+        return s.ufpca()
+    if method == METHOD_CFPCA:
+        return s.cfpca()
+    raise ValueError(f"unknown method {method!r}")

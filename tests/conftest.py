@@ -10,7 +10,6 @@ import pytest
 
 from fairdim.dataset import RawTable, write_table
 from fairdim.linalg import LinalgError
-from fairdim.report import ROW_FIELDS, SweepReport
 from fairdim.synth import s1_table
 
 _PROJ_ORTHO_TOL = 1e-6
@@ -99,13 +98,10 @@ def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int) -> RawT
     return make_table(feats, labels)
 
 
-def load_report(path) -> SweepReport:
-    """A sweep's JSONL report read back: each line is one record, and the
-    first record's ``dataset_id`` and ``balanced`` head the report."""
+def load_report(path) -> tuple[dict, ...]:
+    """A sweep's JSONL report read back: one record per line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    rows = tuple({k: rec[k] for k in ROW_FIELDS} for rec in records)
-    return SweepReport(records[0]["dataset_id"], records[0]["balanced"], rows)
+    return tuple(json.loads(line) for line in lines)
 
 
 def count_solves(monkeypatch) -> list:

@@ -166,11 +166,11 @@ class TestSweep:
         ) == 0
         csv_path = tmp_path / "report.csv"
         assert out.exists() and csv_path.exists()
-        report = load_report(out)
-        assert report.dataset_id == "s1"
+        records = load_report(out)
+        assert all(row["dataset_id"] == "s1" for row in records)
         seen = set()
         per_method = {}
-        for row in report.rows:
+        for row in records:
             assert (row["r"], row["method"]) not in seen
             seen.add((row["r"], row["method"]))
             per_method.setdefault(row["method"], []).append(row["r"])
@@ -196,7 +196,7 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "report.v2.csv", "report.v2.jsonl", "s1.csv",
         ]
-        assert load_report(out).dataset_id == "s1"
+        assert all(row["dataset_id"] == "s1" for row in load_report(out))
 
     def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
         rng = np.random.default_rng(23)
@@ -229,7 +229,7 @@ class TestSweep:
         g = balance(load_table(path, "group"))
         assert np.count_nonzero(g.in_a) == np.count_nonzero(~g.in_a) == 3
         expected = run_sweep(g, 2, 1e-6, "toy", True)
-        for rec, row in zip(rows, expected.rows):
+        for rec, row in zip(rows, expected):
             assert rec["balanced"] is True
             assert rec["overall_err"] == row["overall_err"]
             assert rec["fairness"] == row["fairness"]

@@ -360,6 +360,17 @@ class TestRawTable:
         with pytest.raises(DataError, match="both groups are labeled 'a'"):
             _raw([True, False, True], label_b="a")
 
+    def test_rejects_features_not_2d(self):
+        # every later check would pass this (3, 2, 1) array
+        with pytest.raises(DataError, match="features must be a 2-D array"):
+            RawTable(np.zeros((3, 2, 1)), np.array([True, False, True]), "a", "b",
+                     ("f0", "f1"), "group")
+
+    def test_rejects_name_count_mismatch(self):
+        with pytest.raises(DataError, match="one name required per feature column"):
+            RawTable(np.zeros((3, 2)), np.array([True, False, True]), "a", "b",
+                     ("f0",), "group")
+
 
 def _moments_bytes(m):
     return m.c.tobytes(), m.c_a.tobytes(), m.c_b.tobytes()

@@ -191,7 +191,7 @@ def test_fairness_is_the_rounded_square_at_tiny_scale():
     # correctly rounded float64 square, beside a disparity that is not 0
     g = random_grouped(np.random.default_rng(2), 200, 100, 6)
     tiny = dataclasses.replace(g, features=g.features * 2.0**-300)
-    rows = run_sweep(tiny, 3, 1e-6, "tiny", False).rows
+    rows = run_sweep(tiny, 3, 1e-6, "tiny", False)
     assert len(rows) == 9
     for row in rows:
         assert row["disparity"] != 0.0
