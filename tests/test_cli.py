@@ -456,7 +456,8 @@ class TestExitCodes:
         assert "overflow float64" in err
 
     def test_centering_overflow(self, tmp_path, capsys):
-        # the column sum of 1.7e308s overflows: one error line, no numpy warnings
+        # the column sum of 1.7e308s overflows, and the moment check refuses
+        # it like any other overflow: one error line, no numpy warnings
         path = tmp_path / "over.csv"
         path.write_text(
             "x1,x2,group\n1.7e308,1,a\n1.7e308,2,a\n1e308,3,b\n1.5e308,4,b\n",
@@ -465,9 +466,10 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("fit", "--input", str(path), "--sensitive-col", "group",
-                           "--method", "pca", "--rank", "1") == 2
+                           "--method", "pca", "--rank", "1") == 3
         assert capsys.readouterr().err == (
-            "fairdim: data error: centering failed: column sums exceed tolerance\n"
+            "fairdim: numeric error: second moments or their squares overflow float64 "
+            "(or the features hold NaN/Inf); rescale the features\n"
         )
 
     def test_numeric_failure(self, s1_csv, monkeypatch, capsys):

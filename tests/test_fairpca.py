@@ -501,6 +501,37 @@ class TestNumericGate:
             assert np.isfinite(list(dataclasses.astuple(fit.metrics))).all()
             assert 0.0 <= fit.alpha <= 1.0
 
+    @settings(deadline=None)
+    @given(
+        n=st.integers(2, 59),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exponents=st.lists(st.floats(-323.0, 308.25), min_size=4, max_size=4),
+        offsets=st.booleans(),
+    )
+    # a column sum that overflows, and a subnormal column whose centered
+    # sum is round-off, not 0
+    @example(n=2, d=4, seed=2, exponents=[0.0, 0.0, 0.0, 308.25], offsets=False)
+    @example(n=20, d=2, seed=0, exponents=[0.0, -318.0, 0.0, 0.0], offsets=False)
+    def test_one_gate_across_scales(self, n, d, seed, exponents, offsets):
+        # columns of magnitude 10**e, from subnormal to the float64 ceiling,
+        # each of mixed sign or, with offsets, shifted off 0: prepare either
+        # passes moments whose squared traces are finite or raises
+        # LinalgError, with no other error and no numpy warning
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-1.0, 1.0, d) if offsets else np.zeros(d)
+        u = rng.uniform(-1.0, 1.0, (n, d))
+        x = np.power(10.0, exponents[:d]) * (center + (1.0 - np.abs(center)) * u)
+        n_a = int(rng.integers(1, n))
+        g = make_table(x, ["a"] * n_a + ["b"] * (n - n_a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                m = prepare(g).moments
+            except LinalgError:
+                return
+        assert np.isfinite(np.square([m.tr, m.tr_a, m.tr_b])).all()
+
 
 def same_rows_twice(rng, n, d):
     """Both groups hold the same n rows, in another order and offset by 5:
@@ -522,11 +553,20 @@ def eigenvalue_tie(rng, n_a, n_b, d):
     return make_table(np.sqrt(n) * (q * np.sqrt(values)) @ basis.T, ["a"] * n_a + ["b"] * n_b)
 
 
+def with_subnormal_column(rng, x):
+    """``x`` plus a column near 1e-318 that varies by a few subnormal steps.
+    Its centered squares underflow to 0, so the moments see a constant."""
+    return np.column_stack([x, 1e-318 * (1 + 0.01 * rng.standard_normal(len(x)))])
+
+
 def hostile_tables():
     """Shapes that strain a fit, each of which loads and fits today."""
     rng = np.random.default_rng(61)
     g = random_grouped(rng, 20, 12, 4)
     x, labels = g.features, row_labels(g)
+    # seed 0: the subnormal column's centered sum is round-off, not 0
+    sub_rng = np.random.default_rng(0)
+    sub = random_grouped(sub_rng, 20, 12, 4)
     return {
         "d_gt_n": random_grouped(rng, 2, 2, 7),
         "constant_column": make_table(np.column_stack([x, np.full(len(x), 3.0)]), labels),
@@ -536,6 +576,9 @@ def hostile_tables():
         "one_row_group": random_grouped(rng, 15, 1, 3),
         "all_zero": make_table(np.zeros((6, 3)), list("aaabbb")),
         "identical_covariance": same_rows_twice(rng, 200, 5),
+        "subnormal_column": make_table(
+            with_subnormal_column(sub_rng, sub.features), row_labels(sub)
+        ),
     }
 
 
@@ -562,6 +605,8 @@ def hostile_draw(family, rng, n_a, n_b, d):
     x, labels = g.features, row_labels(g)
     if family == "scaled_1e-150":
         return make_table(1e-150 * x, labels)
+    if family == "subnormal_column":
+        return make_table(with_subnormal_column(rng, x), labels)
     extra = {"constant_column": np.full(len(x), 3.0), "duplicated_column": x[:, 0]}[family]
     return make_table(np.column_stack([x, extra]), labels)
 
@@ -644,9 +689,15 @@ class TestHostileInputs:
 
 
 # each HOSTILE table's numerical rank, where it is below its width d:
-# four centered rows span 3 dimensions, and a constant, duplicated or
-# all-zero column adds none
-HOSTILE_RANK = {"d_gt_n": 3, "constant_column": 4, "duplicated_column": 4, "all_zero": 0}
+# four centered rows span 3 dimensions, and a constant, duplicated,
+# subnormal or all-zero column adds none
+HOSTILE_RANK = {
+    "d_gt_n": 3,
+    "constant_column": 4,
+    "duplicated_column": 4,
+    "all_zero": 0,
+    "subnormal_column": 4,
+}
 
 
 class TestNumericalRank:
