@@ -7,12 +7,14 @@ must parse as a finite number. Rows with unparseable cells abort the load:
 silently dropping rows would shift the group counts and every metric
 computed from them.
 
-A plain file (no quotes, no carriage returns, one comma per column break
-on every data line) is parsed in one vectorized pass with numpy's C
-reader. Quoted or malformed files, and any cell that pass rejects, go
-through a per-cell reader (``csv.reader`` plus ``float()``) instead; it
+The input is opened and decoded once, so a pipe loads like a file, and
+text that is not UTF-8 is refused first, at its first bad byte. A plain
+text (no quotes, no carriage returns, one comma per column break on
+every data line) is parsed in one vectorized pass with numpy's C reader.
+Quoted or malformed text, and any cell that pass rejects, goes through a
+per-cell reader (``csv.reader`` plus ``float()``) over the same text; it
 gives the same values bit for bit and raises the same errors, naming the
-line and column of the first bad cell.
+physical line and the column of the first bad cell.
 
 The groups are decided once, at load: the first-seen label is group a,
 and the ``RawTable`` holds a bool mask that is True on its rows, plus the
@@ -23,6 +25,7 @@ reads one. The table stays uncentered; ``fairpca.prepare`` centers it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -61,9 +64,10 @@ class RawTable:
     sensitive_name: str
 
     def __post_init__(self):
-        if self.features.ndim != 2:
+        if not isinstance(self.features, np.ndarray) or self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
-        if self.in_a.dtype != bool or self.in_a.shape != self.features.shape[:1]:
+        in_a, n = self.in_a, self.features.shape[0]
+        if not isinstance(in_a, np.ndarray) or in_a.dtype != bool or in_a.shape != (n,):
             raise DataError("one boolean group flag required per row")
         if self.in_a.all() or not self.in_a.any():
             raise DataError("each group needs at least one row")
@@ -82,23 +86,34 @@ def load_table(path, sensitive_column: str) -> RawTable:
     non-finite feature cells, and a label column without exactly two
     distinct values.
 
-    A plain file is parsed in one vectorized pass; anything else, and any
-    plain file that pass rejects, goes through the per-cell reader, which
-    alone names a bad cell. Both give the same values and the same errors.
+    The input is opened and decoded once, here, so a pipe loads like a file;
+    text that is not UTF-8 is refused first, naming its first bad byte's
+    offset. A plain text is parsed in one vectorized pass; anything else,
+    and any plain text that pass rejects, goes through the per-cell reader,
+    which alone names a bad cell, by its physical line. Both give the same
+    values and the same errors.
     """
     path = Path(path)
-    table = _load_plain(path, sensitive_column)
-    if table is None:
-        table = _load_cells(path, sensitive_column)
-    return table
-
-
-def _open(path: Path):
     try:
         # utf-8-sig: plain UTF-8 plus tolerance for a spreadsheet-export BOM
-        return path.open(newline="", encoding="utf-8-sig")
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if any(ch in text for ch in _NOT_PLAIN):
+        # the file's own lines, each with its ending, as csv.reader needs
+        # to keep a newline inside a quoted field; bytes, not a StringIO,
+        # which would hold the text at up to 4 bytes per character
+        with io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="") as lines:
+            del text
+            return _load_cells(path, lines, sensitive_column)
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    return _load_plain(path, lines, sensitive_column) or _load_cells(path, lines, sensitive_column)
 
 
 def _columns(path: Path, header: list[str], sensitive_column: str):
@@ -152,38 +167,28 @@ def _table(
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _load_plain(path: Path, sensitive_column: str) -> RawTable | None:
-    """The vectorized path, or None when the file needs the per-cell reader.
+def _load_plain(path: Path, lines: list[str], sensitive_column: str) -> RawTable | None:
+    """The vectorized path, or None when the text needs the per-cell reader.
 
-    Without quotes or carriage returns, csv.reader's records are exactly
-    the file's lines split on commas. Data lines with one comma per column
-    break rule out ragged and blank rows, and numpy's C reader parses
-    numbers with the same routine as float(), minus the digit separators
-    (``1_0``) it rejects, so the per-cell reader then decides.
+    ``lines`` (read, not changed) hold no quotes or carriage returns, so
+    csv.reader's records are exactly these lines split on commas. Data
+    lines with one comma per column break rule out ragged and blank rows,
+    and numpy's C reader parses numbers with the same routine as float(),
+    minus the digit separators (``1_0``) it rejects, so the per-cell reader
+    then decides.
     """
-    with _open(path) as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            return None  # let the per-cell reader fail at the same record
-    if any(ch in text for ch in _NOT_PLAIN):
-        return None
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":
-        lines.pop()
     # a blank header line is an empty record to csv.reader, not [""]; a
     # field longer than csv's limit is an error there, not a value
     if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
         return None
-    header = lines.pop(0).split(",")
+    header, body = lines[0].split(","), lines[1:]
     sens_idx, feature_names = _columns(path, header, sensitive_column)
     commas = len(header) - 1
-    if any(line.count(",") != commas for line in lines):
+    if any(line.count(",") != commas for line in body):
         return None
     try:
         features = np.loadtxt(
-            lines,
+            body,
             delimiter=",",
             usecols=[i for i in range(len(header)) if i != sens_idx],
             comments=None,
@@ -197,41 +202,28 @@ def _load_plain(path: Path, sensitive_column: str) -> RawTable | None:
         return None
     # split only up to the label, from whichever end is nearer
     if sens_idx <= commas - sens_idx:
-        labels = [line.split(",", sens_idx + 1)[sens_idx] for line in lines]
+        labels = [line.split(",", sens_idx + 1)[sens_idx] for line in body]
     else:
-        labels = [line.rsplit(",", commas - sens_idx + 1)[1] for line in lines]
+        labels = [line.rsplit(",", commas - sens_idx + 1)[1] for line in body]
     return _table(path, sensitive_column, features, labels, feature_names)
 
 
-def _csv_rows(path: Path, fh):
-    """csv.reader's records, with undecodable text and csv's own errors
-    (a field over ``csv.field_size_limit()``) raised as DataErrors."""
-    reader = csv.reader(fh)
+def _load_cells(path: Path, lines, sensitive_column: str) -> RawTable:
+    """The per-cell reader: csv.reader over ``lines`` plus float(). A bad
+    record, its own or csv's (a field over ``csv.field_size_limit()``), is
+    a DataError naming the physical line the record ends on."""
+    reader = csv.reader(lines)
     try:
-        yield from reader
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _load_cells(path: Path, sensitive_column: str) -> RawTable:
-    """The per-cell reader: csv.reader plus float(), naming the first bad cell."""
-    with _open(path) as fh:
-        reader = _csv_rows(path, fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
         sens_idx, feature_names = _columns(path, header, sensitive_column)
 
         rows: list[list[float]] = []
         labels: list[str] = []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
             if len(record) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(record)}"
-                )
+                raise csv.Error(f"expected {len(header)} fields, got {len(record)}")
             labels.append(record[sens_idx])
             parsed = []
             for i, cell in enumerate(record):
@@ -240,15 +232,13 @@ def _load_cells(path: Path, sensitive_column: str) -> RawTable:
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {header[i]!r}"
-                    ) from None
+                    raise csv.Error(f"non-numeric cell {cell!r} in column {header[i]!r}")
                 if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}:{lineno}: non-finite cell {cell!r} in column {header[i]!r}"
-                    )
+                    raise csv.Error(f"non-finite cell {cell!r} in column {header[i]!r}")
                 parsed.append(value)
             rows.append(parsed)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
     features = np.array(rows, dtype=np.float64)
     return _table(path, sensitive_column, features, labels, feature_names)

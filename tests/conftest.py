@@ -98,6 +98,45 @@ def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int) -> RawT
     return make_table(feats, labels)
 
 
+def same_rows_twice(rng, n, d):
+    """Both groups hold the same n rows, in another order and offset by 5:
+    their covariances are equal, and every disparity is round-off."""
+    x = rng.standard_normal((n, d)) * np.linspace(1.0, 3.0, d) + 5.0
+    return make_table(np.vstack([x, x[rng.permutation(n)]]), ["a"] * n + ["b"] * n)
+
+
+def with_subnormal_column(rng, x):
+    """``x`` plus a column near 1e-318 that varies by a few subnormal steps.
+    Its centered squares underflow to 0, so the moments see a constant."""
+    return np.column_stack([x, 1e-318 * (1 + 0.01 * rng.standard_normal(len(x)))])
+
+
+def hostile_tables():
+    """Shapes that strain a fit, each of which loads and fits today."""
+    rng = np.random.default_rng(61)
+    g = random_grouped(rng, 20, 12, 4)
+    x, labels = g.features, row_labels(g)
+    # seed 0: the subnormal column's centered sum is round-off, not 0
+    sub_rng = np.random.default_rng(0)
+    sub = random_grouped(sub_rng, 20, 12, 4)
+    return {
+        "d_gt_n": random_grouped(rng, 2, 2, 7),
+        "constant_column": make_table(np.column_stack([x, np.full(len(x), 3.0)]), labels),
+        "duplicated_column": make_table(np.column_stack([x, x[:, 1]]), labels),
+        "imbalance_14_to_1": random_grouped(rng, 70, 5, 4),
+        "scaled_1e-150": make_table(1e-150 * x, labels),
+        "one_row_group": random_grouped(rng, 15, 1, 3),
+        "all_zero": make_table(np.zeros((6, 3)), list("aaabbb")),
+        "identical_covariance": same_rows_twice(rng, 200, 5),
+        "subnormal_column": make_table(
+            with_subnormal_column(sub_rng, sub.features), row_labels(sub)
+        ),
+    }
+
+
+HOSTILE = hostile_tables()
+
+
 def load_report(path) -> tuple[dict, ...]:
     """A sweep's JSONL report read back: one record per line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()

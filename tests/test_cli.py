@@ -26,6 +26,21 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def fairdim_on_stdin(text, *argv):
+    """Run the CLI in a fresh interpreter with ``--input /dev/stdin`` and
+    ``text`` piped to it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "fairdim.cli", *argv, "--input", "/dev/stdin"],
+        input=text,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+
+
 @pytest.fixture()
 def s1_csv(tmp_path):
     path = tmp_path / "s1.csv"
@@ -104,7 +119,7 @@ class TestFit:
                 "--method", method, "--rank", "1", "--output", str(out),
             ) == 0
             assert capsys.readouterr().out == ""
-            assert json.loads(out.read_text())["method"] == method
+            assert json.loads(out.read_text(encoding="utf-8"))["method"] == method
 
     def test_timing_goes_to_stderr_only(self, s1_csv, capsys):
         run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
@@ -132,7 +147,7 @@ class TestFit:
                 ) == 0
                 s = search(load_grouped(path, "group", balanced), 2, 1e-4)
                 expected = {"pca": s.pca, "ufpca": s.ufpca(), "cfpca": s.cfpca()}[method]
-                assert out.read_text() == json.dumps(fit_record(expected)) + "\n"
+                assert out.read_text(encoding="utf-8") == json.dumps(fit_record(expected)) + "\n"
 
 
 class TestSweep:
@@ -428,11 +443,42 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == [out]
 
     def test_undecodable_input(self, tmp_path, capsys):
-        bad = tmp_path / "latin1.csv"
-        bad.write_bytes(b"group,x\na,1\nb\xe9,2\n")
-        assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
-                       "--method", "pca", "--rank", "1") == 2
-        assert "data error: " + str(bad) + ": not UTF-8 text" in capsys.readouterr().err
+        # the second file's bad byte follows a bad cell, past the decoder's
+        # first 8 KB chunk: it is still refused first, at its offset in the file
+        for body, offset in ((b"a,1\nb\xe9,2\n", 13),
+                             (b"a,1\n" * 3000 + b"b,zz\nb\xe9,2\n", 12014)):
+            bad = tmp_path / "latin1.csv"
+            bad.write_bytes(b"group,x\n" + body)
+            assert run_cli("fit", "--input", str(bad), "--sensitive-col", "group",
+                           "--method", "pca", "--rank", "1") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"fairdim: data error: {bad}: not UTF-8 text: ")
+            assert f"in position {offset}:" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("form", ["quoted", "crlf"])
+    def test_piped_input_loads_like_the_file(self, form, s1_csv, tmp_path, capsys):
+        text = s1_csv.read_text(encoding="utf-8")
+        if form == "quoted":
+            text = re.sub(r",([ab])$", r',"\1"', text, flags=re.M)
+        else:
+            text = text.replace("\n", "\r\n")
+        path = tmp_path / f"{form}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        argv = ["fit", "--sensitive-col", "group", "--method", "cfpca", "--rank", "2"]
+        assert run_cli(*argv, "--input", str(path)) == 0
+        proc = fairdim_on_stdin(text, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_bad_cell_is_named(self):
+        proc = fairdim_on_stdin("group,x\na,1\nb,zz\n", "fit", "--sensitive-col",
+                                "group", "--method", "pca", "--rank", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "fairdim: data error: /dev/stdin:3: non-numeric cell 'zz' in column 'x'\n"
+        )
 
     def test_field_over_csv_limit(self, tmp_path, capsys):
         bad = tmp_path / "long.csv"
@@ -708,6 +754,7 @@ def test_benchmark_setup_code_runs(groups, balanced, tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -159,6 +159,11 @@ PARITY_CASES = {
     "unit_separator": ("h,x\na,1\nb,\x1f2\n",
                        "{path}:3: non-numeric cell '\\x1f2' in column 'x'", None, "cells"),
     "hash_in_label": ("h,x\n#a,1\nb,2\n", [[1.0], [2.0]], ("#a", "b"), "plain"),
+    # a message names the physical line, after a label that spans two
+    "multiline_quoted_label": ('h,x\n"a\nb",1\nc,zz\n',
+                               "{path}:4: non-numeric cell 'zz' in column 'x'", None, "cells"),
+    # a lone carriage return ends a line, as in a file read with newline=""
+    "lone_cr": ("h,x\ra,1\rb,2\r", [[1.0], [2.0]], ("a", "b"), "cells"),
 }
 
 
@@ -239,7 +244,7 @@ def _outcome(load, path):
 
 _cell = st.sampled_from(
     ["1", "-2.5e-3", " 7 ", "1_0", "", "nan", "1e400", "\x1c1", '"3"', '"a,b"',
-     "a", "b", "#b", "\ufeff1"]
+     '"a\nb"', "a", "b", "#b", "\ufeff1"]
 )
 _row = st.lists(_cell, min_size=1, max_size=3).map(",".join)
 
@@ -249,14 +254,20 @@ _row = st.lists(_cell, min_size=1, max_size=3).map(",".join)
 @given(
     st.sampled_from(["h,x,y", "x,h", "h,x", "h", ""]),
     st.lists(_row, max_size=5),
-    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
 )
 def test_load_table_matches_per_cell_reader(tmp_path, head, rows, newline, final):
     path = tmp_path / "m.csv"
     text = newline.join([head] + rows) + (newline if final else "")
     path.write_text(text, encoding="utf-8", newline="")
-    assert _outcome(load_table, path) == _outcome(dataset_module._load_cells, path)
+
+    def over_the_file(path, sensitive_column):
+        # the reference: csv.reader over the file itself
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return dataset_module._load_cells(path, fh, sensitive_column)
+
+    assert _outcome(load_table, path) == _outcome(over_the_file, path)
 
 
 class TestBalance:
@@ -345,6 +356,9 @@ class TestRawTable:
     def test_rejects_non_bool_mask(self):
         with pytest.raises(DataError, match="one boolean group flag"):
             _raw([1, 0, 1])
+        # a list, not an array
+        with pytest.raises(DataError, match="one boolean group flag"):
+            RawTable(np.zeros((3, 2)), [True, False, True], "a", "b", ("f0", "f1"), "group")
 
     @pytest.mark.parametrize("flags", [[True, False], [True, False, True, False]])
     def test_rejects_wrong_mask_length(self, flags):
@@ -361,10 +375,11 @@ class TestRawTable:
             _raw([True, False, True], label_b="a")
 
     def test_rejects_features_not_2d(self):
-        # every later check would pass this (3, 2, 1) array
-        with pytest.raises(DataError, match="features must be a 2-D array"):
-            RawTable(np.zeros((3, 2, 1)), np.array([True, False, True]), "a", "b",
-                     ("f0", "f1"), "group")
+        # every later check would pass the (3, 2, 1) array; the list is not one
+        for features in (np.zeros((3, 2, 1)), [[0.0, 0.0]] * 3):
+            with pytest.raises(DataError, match="features must be a 2-D array"):
+                RawTable(features, np.array([True, False, True]), "a", "b",
+                         ("f0", "f1"), "group")
 
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(DataError, match="one name required per feature column"):

@@ -55,7 +55,7 @@ def python(*argv, exported=None, cwd=None):
         env[VAR] = exported
     proc = subprocess.run(
         [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True,
-        timeout=120,
+        encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -9,6 +9,7 @@ from fairdim.fairpca import prepare, search
 from fairdim.report import run_sweep
 
 from conftest import (
+    HOSTILE,
     avg_reconstruction_error_direct,
     centered,
     make_table,
@@ -165,15 +166,20 @@ def _hostile_grouped(case: str):
 
 class TestMomentMetrics:
     @pytest.mark.parametrize(
-        "case", ["wide", "constant_column", "duplicated_column", "imbalanced"]
+        "g",
+        [pytest.param(_hostile_grouped(case), id=case)
+         for case in ("wide", "constant_column", "duplicated_column", "imbalanced")]
+        + [pytest.param(g, id=f"hostile_{case}") for case, g in HOSTILE.items()],
     )
-    def test_matches_explicit_residual(self, case):
-        g = _hostile_grouped(case)
+    def test_matches_explicit_residual(self, g):
         x = centered(g)
         d = x.shape[1]
         moments = prepare(g).moments
+        # round-off near 0 scales with the data, so the floor on the
+        # tolerance does too, below unit trace
+        floor = 1e-12 * min(1.0, moments.tr)
         rng = np.random.default_rng(18)
-        for r in (1, 2, 3):
+        for r in range(1, min(3, d) + 1):
             for u in (rand_orthonormal(rng, d, r), search(g, r).pca.u):
                 m = moment_metrics(moments, u)
                 want = (
@@ -183,7 +189,7 @@ class TestMomentMetrics:
                 )
                 got = (m.overall_err, m.err_a, m.err_b)
                 for have, ref in zip(got, want):
-                    assert have == pytest.approx(ref, rel=1e-9)
+                    assert have == pytest.approx(ref, rel=1e-9, abs=floor)
 
 
 def test_fairness_is_the_rounded_square_at_tiny_scale():
