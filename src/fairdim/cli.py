@@ -82,10 +82,15 @@ def _cmd_gen(args) -> int:
 
 
 def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
-    """Load the table (so the loader names a missing input), then refuse an
-    output path that is ``--input`` and a ``rank`` above the table's width."""
+    """Load the table (so the loader names a missing input), then, before
+    any fit, refuse an output path that is ``--input``, a directory or in
+    no existing directory, and a ``rank`` above the table's width."""
     table = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     for out in outputs:
+        if out.is_dir():
+            raise _UsageError(f"output {out} is a directory")
+        if not out.parent.is_dir():
+            raise _UsageError(f"output {out}: no directory {out.parent}")
         if out.exists() and out.samefile(args.input):
             raise _UsageError(f"output {out} would overwrite --input {args.input}")
     if rank > table.features.shape[1]:

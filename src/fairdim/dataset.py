@@ -1,4 +1,4 @@
-"""Loading and balancing of two-group tables.
+r"""Loading and balancing of two-group tables.
 
 The on-disk contract is a UTF-8 CSV with one header row, comma delimiter
 and ``.`` decimal point. One column (selected by exact header name) holds
@@ -9,12 +9,13 @@ computed from them.
 
 The input is opened and decoded once, so a pipe loads like a file, and
 text that is not UTF-8 is refused first, at its first bad byte. A plain
-text (no quotes, no carriage returns, one comma per column break on
-every data line) is parsed in one vectorized pass with numpy's C reader.
-Quoted or malformed text, and any cell that pass rejects, goes through a
-per-cell reader (``csv.reader`` plus ``float()``) over the same text; it
-gives the same values bit for bit and raises the same errors, naming the
-physical line and the column of the first bad cell.
+text (no quote, NUL, \x0b, \x0c, \x1c-\x1f, \x85, \u2028 or \u2029, and
+one comma per column break on every data line), whatever its line
+endings and width, is parsed in one vectorized pass with numpy's C
+reader. Quoted or malformed text, and any cell that pass rejects, goes
+through a per-cell reader (``csv.reader`` plus ``float()``) over the
+same text; it gives the same values bit for bit and raises the same
+errors, naming the physical line and the column of the first bad cell.
 
 The groups are decided once, at load: the first-seen label is group a,
 and the ``RawTable`` holds a bool mask that is True on its rows, plus the
@@ -78,7 +79,7 @@ class RawTable:
 
 
 def load_table(path, sensitive_column: str) -> RawTable:
-    """Read a CSV into a RawTable, excluding the sensitive column from features.
+    r"""Read a CSV into a RawTable, excluding the sensitive column from features.
 
     Raises DataError for: missing file, text that is not UTF-8,
     missing/ambiguous header, absent sensitive column, no feature columns,
@@ -88,10 +89,10 @@ def load_table(path, sensitive_column: str) -> RawTable:
 
     The input is opened and decoded once, here, so a pipe loads like a file;
     text that is not UTF-8 is refused first, naming its first bad byte's
-    offset. A plain text is parsed in one vectorized pass; anything else,
-    and any plain text that pass rejects, goes through the per-cell reader,
-    which alone names a bad cell, by its physical line. Both give the same
-    values and the same errors.
+    offset. A plain text, split at its \n, \r and \r\n endings, is parsed
+    in one vectorized pass; anything else, and any plain text that pass
+    rejects, goes through the per-cell reader, which alone names a bad
+    cell, by its physical line. Both give the same values and errors.
     """
     path = Path(path)
     try:
@@ -109,10 +110,8 @@ def load_table(path, sensitive_column: str) -> RawTable:
         with io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="") as lines:
             del text
             return _load_cells(path, lines, sensitive_column)
-    lines = text.split("\n")
+    lines = text.splitlines()
     del text
-    if lines[-1] == "":
-        lines.pop()
     return _load_plain(path, lines, sensitive_column) or _load_cells(path, lines, sensitive_column)
 
 
@@ -160,26 +159,34 @@ def _table(
     )
 
 
-# A file holding any of these is not plain. Quotes and carriage returns
-# change how csv.reader splits it, csv.reader rejects NUL on Python 3.10,
-# and U+001C..U+001F count as whitespace around a number for numpy's
-# parser but not for float().
-_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+# A file holding any of these is not plain. Quotes change how csv.reader
+# splits it, and csv.reader rejects NUL on Python 3.10. str.splitlines()
+# ends a line at \x0b, \x0c, \x1c..\x1e, \x85, \u2028 and \u2029, where
+# csv.reader does not end a record, so only \n, \r and \r\n are left to
+# split a plain text. \x1f, like \x1c..\x1e, counts as whitespace around
+# a number for numpy's parser but not for float().
+_NOT_PLAIN = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029'
 
 
 def _load_plain(path: Path, lines: list[str], sensitive_column: str) -> RawTable | None:
     """The vectorized path, or None when the text needs the per-cell reader.
 
-    ``lines`` (read, not changed) hold no quotes or carriage returns, so
-    csv.reader's records are exactly these lines split on commas. Data
-    lines with one comma per column break rule out ragged and blank rows,
-    and numpy's C reader parses numbers with the same routine as float(),
-    minus the digit separators (``1_0``) it rejects, so the per-cell reader
-    then decides.
+    ``lines`` (read, not changed) are the text split at its \\n, \\r and
+    \\r\\n endings and hold no quotes, so csv.reader's records are exactly
+    these lines split on commas. Data lines with one comma per column
+    break rule out ragged and blank rows, and numpy's C reader parses
+    numbers with the same routine as float(), minus the digit separators
+    (``1_0``) it rejects, so the per-cell reader then decides.
     """
-    # a blank header line is an empty record to csv.reader, not [""]; a
-    # field longer than csv's limit is an error there, not a value
-    if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+    # a blank header line is an empty record to csv.reader, not [""]
+    if len(lines) < 2 or not lines[0]:
+        return None
+    # a field longer than csv's limit is an error there, not a value; only
+    # a line that long can hold one
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit and any(
+        len(field) > limit for line in lines if len(line) > limit for field in line.split(",")
+    ):
         return None
     header, body = lines[0].split(","), lines[1:]
     sens_idx, feature_names = _columns(path, header, sensitive_column)

@@ -12,6 +12,11 @@ error, fairness or the two groups' errors against rank, is a column
 subset of the CSV.
 Nothing here reads a clock, so repeated runs on the same input write
 identical bytes; the CLI times each command and logs that time to stderr.
+"The same input" means the same input bytes, the same numpy and BLAS
+build and the same BLAS thread count: at a few hundred features a gram
+or an eigensolve may round differently at another thread count (on a
+2600×300 table, 27 of 30 ``sweep --max-rank 10`` lines differed between
+1 and 2 OpenBLAS threads, near the round-off floor).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from fairdim.fairpca import prepare
 from fairdim.linalg import scaled_gram
 from fairdim.metrics import Moments
 
-from conftest import centered, make_table, row_labels
+from conftest import centered, count_per_cell_loads, make_table, row_labels
 
 
 def write_csv(path, text):
@@ -127,7 +127,10 @@ class TestLoadTable:
 PARITY_CASES = {
     "quoted_label_comma": ('h,x,y\n"a,1",1,2\nb,3,4\n',
                            [[1.0, 2.0], [3.0, 4.0]], ("a,1", "b"), "cells"),
-    "crlf": ("h,x\r\na,1\r\nb,2\r\n", [[1.0], [2.0]], ("a", "b"), "cells"),
+    "crlf": ("h,x\r\na,1\r\nb,2\r\n", [[1.0], [2.0]], ("a", "b"), "plain"),
+    "crlf_bad_cell": ("h,x\r\na,1\r\nb,zz\r\n",
+                      "{path}:3: non-numeric cell 'zz' in column 'x'", None, "cells"),
+    "crlf_quoted": ('h,x\r\n"a",1\r\nb,2\r\n', [[1.0], [2.0]], ("a", "b"), "cells"),
     "utf8_bom": ("\ufeffh,x\na,1\nb,2\n", [[1.0], [2.0]], ("a", "b"), "plain"),
     "blank_line_mid": ("h,x\na,1\n\nb,2\n",
                        "{path}:3: expected 2 fields, got 0", None, "cells"),
@@ -163,7 +166,17 @@ PARITY_CASES = {
     "multiline_quoted_label": ('h,x\n"a\nb",1\nc,zz\n',
                                "{path}:4: non-numeric cell 'zz' in column 'x'", None, "cells"),
     # a lone carriage return ends a line, as in a file read with newline=""
-    "lone_cr": ("h,x\ra,1\rb,2\r", [[1.0], [2.0]], ("a", "b"), "cells"),
+    "lone_cr": ("h,x\ra,1\rb,2\r", [[1.0], [2.0]], ("a", "b"), "plain"),
+    # str.splitlines() ends a line at these, csv.reader does not
+    "vertical_tab_label": ("h,x\na\x0bb,1\nc,2\n", [[1.0], [2.0]], ("a\x0bb", "c"), "cells"),
+    "form_feed_cell": ("h,x\na,\x0c1\nb,2\n", [[1.0], [2.0]], ("a", "b"), "cells"),
+    "file_separator_label": ("h,x\na\x1cb,1\nc,2\n", [[1.0], [2.0]], ("a\x1cb", "c"), "cells"),
+    "group_separator_label": ("h,x\na\x1db,1\nc,2\n", [[1.0], [2.0]], ("a\x1db", "c"), "cells"),
+    "record_separator_label": ("h,x\na\x1eb,1\nc,2\n", [[1.0], [2.0]], ("a\x1eb", "c"), "cells"),
+    "next_line_label": ("h,x\na\x85,1\nb,2\n", [[1.0], [2.0]], ("a\x85", "b"), "cells"),
+    "line_separator_label": ("h,x\na\u2028b,1\nc,2\n", [[1.0], [2.0]], ("a\u2028b", "c"), "cells"),
+    "paragraph_separator_label": ("h,x\na\u2029b,1\nc,2\n",
+                                  [[1.0], [2.0]], ("a\u2029b", "c"), "cells"),
 }
 
 
@@ -172,11 +185,7 @@ def test_loader_parity(case, tmp_path, monkeypatch):
     text, expected, labels, reader = PARITY_CASES[case]
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    per_cell = []
-    real = dataset_module._load_cells
-    monkeypatch.setattr(
-        dataset_module, "_load_cells", lambda *a: per_cell.append(1) or real(*a)
-    )
+    per_cell = count_per_cell_loads(monkeypatch)
     if labels is None:
         with pytest.raises(DataError) as exc:
             load_table(path, "h")
@@ -244,7 +253,7 @@ def _outcome(load, path):
 
 _cell = st.sampled_from(
     ["1", "-2.5e-3", " 7 ", "1_0", "", "nan", "1e400", "\x1c1", '"3"', '"a,b"',
-     '"a\nb"', "a", "b", "#b", "\ufeff1"]
+     '"a\nb"', "a", "b", "#b", "\ufeff1", "\x0b1", "1\x0c", "a\x85", "\u2028"]
 )
 _row = st.lists(_cell, min_size=1, max_size=3).map(",".join)
 
@@ -268,6 +277,28 @@ def test_load_table_matches_per_cell_reader(tmp_path, head, rows, newline, final
             return dataset_module._load_cells(path, fh, sensitive_column)
 
     assert _outcome(load_table, path) == _outcome(over_the_file, path)
+
+
+def test_lines_over_csv_limit_stay_vectorized(tmp_path, monkeypatch):
+    # csv.reader limits a field, not a line: lines longer than the limit
+    # whose fields are all within it take the vectorized reader
+    x = np.random.default_rng(0).standard_normal((6, 8))
+    lines = ["h," + ",".join(f"x{j}" for j in range(8))]
+    lines += ["ab"[i % 2] + "," + ",".join(map(repr, row)) for i, row in enumerate(x.tolist())]
+    path = write_csv(tmp_path / "w.csv", "\n".join(lines) + "\n")
+    per_cell = count_per_cell_loads(monkeypatch)
+    old = csv.field_size_limit(30)
+    try:
+        assert min(map(len, lines[1:])) > 30
+        out = load_table(path, "h")
+        assert per_cell == []
+        with path.open(newline="", encoding="utf-8") as fh:
+            want = dataset_module._load_cells(path, fh, "h")
+    finally:
+        csv.field_size_limit(old)
+    assert out.features.tobytes() == want.features.tobytes() == x.tobytes()
+    assert out.in_a.tolist() == want.in_a.tolist()
+    assert (out.label_a, out.label_b) == ("a", "b")
 
 
 class TestBalance:
