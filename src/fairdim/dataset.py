@@ -11,11 +11,11 @@ The input is opened and decoded once, so a pipe loads like a file, and
 text that is not UTF-8 is refused first, at its first bad byte. A plain
 text (no quote, NUL, \x0b, \x0c, \x1c-\x1f, \x85, \u2028 or \u2029, and
 one comma per column break on every data line), whatever its line
-endings and width, is parsed in one vectorized pass with numpy's C
-reader. Quoted or malformed text, and any cell that pass rejects, goes
-through a per-cell reader (``csv.reader`` plus ``float()``) over the
-same text; it gives the same values bit for bit and raises the same
-errors, naming the physical line and the column of the first bad cell.
+endings, is parsed in one vectorized pass with numpy's C reader. Quoted
+or malformed text, and any cell that pass rejects, goes through a
+per-cell reader (``csv.reader`` plus ``float()``) over the same text; it
+gives the same values bit for bit and raises the same errors, naming the
+physical line and the column of the first bad cell.
 
 The groups are decided once, at load: the first-seen label is group a,
 and the ``RawTable`` holds a bool mask that is True on its rows, plus the
@@ -178,15 +178,9 @@ def _load_plain(path: Path, lines: list[str], sensitive_column: str) -> RawTable
     numbers with the same routine as float(), minus the digit separators
     (``1_0``) it rejects, so the per-cell reader then decides.
     """
-    # a blank header line is an empty record to csv.reader, not [""]
-    if len(lines) < 2 or not lines[0]:
-        return None
-    # a field longer than csv's limit is an error there, not a value; only
-    # a line that long can hold one
-    limit = csv.field_size_limit()
-    if max(map(len, lines)) > limit and any(
-        len(field) > limit for line in lines if len(line) > limit for field in line.split(",")
-    ):
+    # a blank header line is an empty record to csv.reader, not [""]; a
+    # field longer than csv's limit is an error there, not a value
+    if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
         return None
     header, body = lines[0].split(","), lines[1:]
     sens_idx, feature_names = _columns(path, header, sensitive_column)

@@ -156,19 +156,6 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
-def count_per_cell_loads(monkeypatch) -> list:
-    """Count the loads that take the per-cell reader from here on: the
-    returned list grows by one per ``dataset._load_cells`` call."""
-    import fairdim.dataset as dataset_module
-
-    calls = []
-    real = dataset_module._load_cells
-    monkeypatch.setattr(
-        dataset_module, "_load_cells", lambda *a: calls.append(1) or real(*a)
-    )
-    return calls
-
-
 @pytest.fixture(scope="session")
 def s1_grouped():
     return s1_table()

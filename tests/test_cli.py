@@ -19,7 +19,7 @@ from fairdim.linalg import LinalgError
 from fairdim.report import METHODS, fit_record, run_sweep
 from fairdim.synth import s1_table
 
-from conftest import centered, count_per_cell_loads, count_solves, load_report
+from conftest import centered, count_solves, load_report
 
 
 def run_cli(*argv):
@@ -756,38 +756,6 @@ def _bench_setup_code() -> str:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_SETUP_CODE"]:
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/run.py defines no _SETUP_CODE")
-
-
-def test_benchmark_input_form_loads_vectorized(tmp_path, monkeypatch):
-    # each benchmark workload's CSV, written small by the benchmark's own
-    # generator (in a fresh interpreter that writes no bytecode), and its
-    # CRLF copy load without the per-cell reader, to the same table
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    code = (
-        "import dataclasses, sys\n"
-        "from gen import make_table, write_csv\n"
-        "from workloads import WORKLOADS\n"
-        "for name, w in WORKLOADS.items():\n"
-        "    w = dataclasses.replace(w, n_a=60, n_b=30)\n"
-        "    write_csv(f'{sys.argv[1]}/{name}.csv', *make_table(w, 1))\n"
-    )
-    proc = subprocess.run([sys.executable, "-B", "-c", code, str(tmp_path)], cwd=perfbench,
-                          capture_output=True, text=True, encoding="utf-8", timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    per_cell = count_per_cell_loads(monkeypatch)
-    paths = sorted(tmp_path.glob("*.csv"))
-    assert paths
-    for path in paths:
-        crlf = path.with_suffix(".crlf")
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        lf, cr_lf = (load_table(p, "group") for p in (path, crlf))
-        assert per_cell == [], path.name
-        assert lf.features.shape[0] == 90
-        assert cr_lf.features.tobytes() == lf.features.tobytes()
-        assert cr_lf.in_a.tolist() == lf.in_a.tolist()
-        assert (cr_lf.label_a, cr_lf.label_b, cr_lf.feature_names) == (
-            lf.label_a, lf.label_b, lf.feature_names
-        )
 
 
 @pytest.mark.parametrize("groups, balanced", [("unbalanced", "1"), ("balanced", "0")])
