@@ -14,7 +14,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .dataset import DataError, load_grouped, write_table
-from .fairpca import DEFAULT_TOL, METHODS, fit_one, search
+from .fairpca import DEFAULT_TOL, METHODS, fit_one, prepare, search
 from .linalg import LinalgError
 from .report import fit_record, run_sweep, write_report_csv, write_report_jsonl
 from .synth import DEFAULT_SEED, s1_table
@@ -76,21 +76,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_output(out: Path) -> None:
+    """Refuse an output path that is a directory or in no existing directory."""
+    if out.is_dir():
+        raise _UsageError(f"output {out} is a directory")
+    if not out.parent.is_dir():
+        raise _UsageError(f"output {out}: no directory {out.parent}")
+
+
 def _cmd_gen(args) -> int:
+    _check_output(args.out)
     write_table(s1_table(args.seed), args.out)
     return EXIT_OK
 
 
 def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
     """Load the table (so the loader names a missing input), then, before
-    any fit, refuse an output path that is ``--input``, a directory or in
-    no existing directory, and a ``rank`` above the table's width."""
+    any fit, refuse an output path that ``_check_output`` refuses or that
+    is ``--input``, and a ``rank`` above the table's width."""
     table = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     for out in outputs:
-        if out.is_dir():
-            raise _UsageError(f"output {out} is a directory")
-        if not out.parent.is_dir():
-            raise _UsageError(f"output {out}: no directory {out.parent}")
+        _check_output(out)
         if out.exists() and out.samefile(args.input):
             raise _UsageError(f"output {out} would overwrite --input {args.input}")
     if rank > table.features.shape[1]:
@@ -107,7 +113,7 @@ def _cmd_fit(args) -> int:
     outputs = () if args.output is None else (args.output,)
     table = _setup(args, args.rank, "--rank", outputs)
     start = perf_counter()
-    fit = fit_one(search(table, args.rank, args.tol), args.method)
+    fit = fit_one(search(prepare(table), args.rank, args.tol), args.method)
     _log(f"fit dataset={args.input.stem} method={args.method} r={args.rank}", start)
 
     text = json.dumps(fit_record(fit)) + "\n"
@@ -126,7 +132,7 @@ def _cmd_sweep(args) -> int:
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
     table = _setup(args, args.max_rank, "--max-rank", outputs)
     start = perf_counter()
-    records = run_sweep(table, args.max_rank, args.tol, args.input.stem, args.balanced)
+    records = run_sweep(prepare(table), args.max_rank, args.tol, args.input.stem, args.balanced)
     _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)
     if not outputs:
         write_report_jsonl(records, sys.stdout)

@@ -35,15 +35,15 @@ squared traces are finite, every blend is finite and bitwise symmetric
 by construction, so the per-alpha eigensolve checks nothing. From the
 data's numerical rank on, plain PCA is exact and the fair fits return it.
 
-``search(data, r, tol)`` is the one way to a fit. It returns the
-``Search`` record that the three fits at one rank share: ``.pca`` is plain
-PCA, and ``.ufpca()`` and ``.cfpca()`` share one root search, run on first
-use. For example, ``s = search(table, r=1)`` then ``s.cfpca()``, or
-``fit_one(s, "cfpca")``: the one dispatch from a name in ``METHODS`` to
-its fit, shared by the CLI's ``fit`` and every cell of a sweep. A sweep
-shares one ``Prepared`` plus one ``Search`` per rank. A ``Search`` is
-safe to share between threads: two that first use it together may both
-run its root search, with identical results.
+``search(p, r, tol)`` is the one way from a ``Prepared`` to a fit. It
+returns the ``Search`` record that the three fits at one rank share:
+``.pca`` is plain PCA, and ``.ufpca()`` and ``.cfpca()`` share one root
+search, run on first use. For example, ``s = search(prepare(table), r=1)``
+then ``s.cfpca()``, or ``fit_one(s, "cfpca")``: the one dispatch from a
+name in ``METHODS`` to its fit, shared by the CLI's ``fit`` and every
+cell of a sweep. A sweep shares one ``Prepared`` plus one ``Search`` per
+rank. A ``Search`` belongs to one thread: its root search is cached on
+first use, without a lock.
 """
 
 from __future__ import annotations
@@ -305,15 +305,13 @@ class Search:
         )
 
 
-def search(data: RawTable | Prepared, r: int, tol: float = DEFAULT_TOL) -> Search:
-    """The ``Search`` at rank r of the table or its ``Prepared`` form.
-    ``tol`` is the alpha bracket's final width and must be > 0."""
+def search(p: Prepared, r: int, tol: float = DEFAULT_TOL) -> Search:
+    """The ``Search`` at rank r of a ``Prepared`` table. ``tol`` is the
+    alpha bracket's final width and must be > 0."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not isinstance(data, Prepared):
-        data = prepare(data)
-    data.check_rank(r)
-    return Search(*_plain(data, r), tol, r >= data.rank)
+    p.check_rank(r)
+    return Search(*_plain(p, r), tol, r >= p.rank)
 
 
 def fit_one(s: Search, method: str) -> FairFitResult:

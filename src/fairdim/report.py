@@ -25,8 +25,7 @@ import csv
 import json
 from dataclasses import asdict, fields
 
-from .dataset import RawTable
-from .fairpca import METHODS, FairFitResult, fit_one, prepare, search
+from .fairpca import METHODS, FairFitResult, Prepared, fit_one, search
 from .metrics import GroupMetrics
 
 __all__ = [
@@ -41,16 +40,15 @@ ROW_FIELDS = ("r", "method", "alpha", *(f.name for f in fields(GroupMetrics)))
 
 
 def run_sweep(
-    table: RawTable, max_rank: int, tol: float, dataset_id: str, balanced: bool
+    p: Prepared, max_rank: int, tol: float, dataset_id: str, balanced: bool
 ) -> tuple[dict, ...]:
     """The records of every method's fit for every rank 1..max_rank, in
     (rank, method) order, each exactly as it is written.
 
-    The second moments and the one plain-PCA eigendecomposition serving
-    every rank are computed once, before the first cell. Each rank then
-    builds one ``Search``, and its three cells share it.
+    Every rank reads the caller's one ``Prepared``: its moments and
+    plain-PCA eigendecomposition were computed once, by ``prepare``. Each
+    rank builds one ``Search``, and its three cells share it.
     """
-    p = prepare(table)
     p.check_rank(max_rank)
     searches = (search(p, r, tol) for r in range(1, max_rank + 1))
     fits = (fit_one(s, method) for s in searches for method in METHODS)

@@ -50,7 +50,7 @@ def _real_dataset(name):
 def _grid_roles(g, r):
     """Plain PCA, the privileged and harmed rows it implies, and the
     blend's two terms computed from those rows."""
-    pca = search(g, r).pca
+    pca = search(prepare(g), r).pca
     x = centered(g)
     x_a, x_b = x[g.in_a], x[~g.in_a]
     x_priv, x_harm = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
@@ -102,7 +102,7 @@ def test_criterion_2_pca_optimality():
         r = int(rng.integers(1, d))
         n_a = int(rng.integers(1, n))
         g = random_grouped(rng, n_a, n - n_a, d)
-        u = search(g, r).pca.u
+        u = search(prepare(g), r).pca.u
         c_x = scaled_gram(centered(g), n)
         ours = float(np.trace(u.T @ c_x @ u))
         qs = np.linalg.qr(rng.standard_normal((1000, d, d)))[0][:, :, :r]
@@ -121,9 +121,10 @@ def test_criterion_3_alpha_one_reduction():
         datasets.append(random_grouped(rng, int(rng.integers(5, 40)), int(rng.integers(5, 40)), d))
     for g in datasets:
         d = g.features.shape[1]
+        p = prepare(g)
         for r in range(1, d + 1):
-            u_pca = search(g, r).pca.u
-            u_fair = sym_eig_top_r(weighted_covariance(prepare(g).moments, 1.0), r).vectors
+            u_pca = search(p, r).pca.u
+            u_fair = sym_eig_top_r(weighted_covariance(p.moments, 1.0), r).vectors
             gap = np.linalg.norm(u_fair @ u_fair.T - u_pca @ u_pca.T)
             assert gap <= 1e-8
     _passed(3, "alpha=1 reduces to plain PCA")
@@ -158,7 +159,7 @@ def test_criterion_5_search_matches_grid_oracle():
             u = sym_eig_top_r(a * c_x + (1.0 - a) * delta, 1).vectors
             grid_f.append(_disparity(rows, u) ** 2)
         grid_f = np.array(grid_f)
-        fit = search(g, 1, tol=1e-6).ufpca()
+        fit = search(prepare(g), 1, tol=1e-6).ufpca()
         tol = max(1e-8, 1e-3 * float(grid_f.max() - grid_f.min()))
         assert fit.metrics.fairness - float(grid_f.min()) <= tol, f"seed {seed}"
         assert fit.iterations <= math.ceil(math.log2(1e6))
@@ -175,21 +176,22 @@ def test_criterion_6_constrained_fit_contract():
         g = random_grouped(rng, int(rng.integers(5, 50)), int(rng.integers(5, 50)), d)
         instances.append((g, int(rng.integers(1, d + 1))))
     for g, r in instances:
-        fit = search(g, r).cfpca()
-        pca = search(g, r).pca
+        p = prepare(g)
+        fit = search(p, r).cfpca()
+        pca = search(p, r).pca
         assert fit.metrics.err_a <= fit.budget
         assert fit.metrics.err_b <= fit.budget
         assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
         assert fit.budget == pca.metrics.err_b  # harmed group's baseline error
-        assert search(g, r).ufpca().metrics.fairness <= pca.metrics.fairness + 1e-12
+        assert search(p, r).ufpca().metrics.fairness <= pca.metrics.fairness + 1e-12
     _passed(6, "constrained-fit budget and fairness contract")
 
 
 def test_criterion_7_method_ordering_synthetic():
-    g = s1_table()
-    pca = search(g, 1).pca
-    uf = search(g, 1).ufpca()
-    cf = search(g, 1).cfpca()
+    p = prepare(s1_table())
+    pca = search(p, 1).pca
+    uf = search(p, 1).ufpca()
+    cf = search(p, 1).cfpca()
     assert uf.metrics.fairness <= cf.metrics.fairness + 1e-15
     assert cf.metrics.fairness <= pca.metrics.fairness + 1e-12
     assert pca.metrics.overall_err <= cf.metrics.overall_err + 1e-9
@@ -202,10 +204,11 @@ def test_criterion_7_method_ordering_real(name):
     path, col, _ = _real_dataset(name)
     start = time.monotonic()
     g = load_grouped(path, col)
+    p = prepare(g)
     for r in range(1, min(10, g.features.shape[1]) + 1):
-        pca = search(g, r).pca
-        uf = search(g, r).ufpca()
-        cf = search(g, r).cfpca()
+        pca = search(p, r).pca
+        uf = search(p, r).ufpca()
+        cf = search(p, r).cfpca()
         assert uf.metrics.fairness <= cf.metrics.fairness + 1e-12
         assert cf.metrics.fairness <= pca.metrics.fairness + 1e-12
         assert pca.metrics.overall_err <= cf.metrics.overall_err + 1e-9
@@ -257,7 +260,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
             [sys.executable, "-m", "fairdim.cli", "sweep",
              "--input", str(data), "--sensitive-col", "group",
              "--max-rank", "2", "--output", str(out)],
-            capture_output=True,
+            capture_output=True, stdin=subprocess.DEVNULL, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out)

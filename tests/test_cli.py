@@ -14,7 +14,7 @@ import pytest
 
 from fairdim import cli, fairpca, report
 from fairdim.dataset import balance, load_grouped, load_table, write_table
-from fairdim.fairpca import DEFAULT_TOL, search
+from fairdim.fairpca import DEFAULT_TOL, prepare, search
 from fairdim.linalg import LinalgError
 from fairdim.report import METHODS, fit_record, run_sweep
 from fairdim.synth import s1_table
@@ -73,6 +73,19 @@ class TestGen:
         assert run_cli("gen", "--out", str(out), "--seed", "0") == 0
         assert out.stat().st_size > 0
 
+    @pytest.mark.parametrize("out, message", [
+        pytest.param("missing/s1.csv", "output {tmp}/missing/s1.csv: no directory {tmp}/missing",
+                     id="missing-dir"),
+        pytest.param("somedir", "output {tmp}/somedir is a directory", id="is-dir"),
+    ])
+    def test_unwritable_out_refused(self, out, message, tmp_path, capsys):
+        # the refusal `fit` and `sweep` give: exit 1, one line, nothing written
+        (tmp_path / "somedir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("gen", "--out", str(tmp_path / out)) == 1
+        assert capsys.readouterr().err == f"fairdim: error: {message.format(tmp=tmp_path)}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_group_sizes(self, s1_csv):
         table = load_table(s1_csv, "group")
         assert (table.label_a, table.label_b) == ("a", "b")
@@ -130,7 +143,7 @@ class TestFit:
 
     def test_fit_one_refuses_unknown_method(self, s1_grouped):
         with pytest.raises(ValueError, match="unknown method"):
-            report.fit_one(search(s1_grouped, 1), "lda")
+            report.fit_one(search(prepare(s1_grouped), 1), "lda")
 
     def test_balanced_fit_matches_library(self, toy_csv, tmp_path):
         # the file `fit --output` writes is the library's record, byte for
@@ -145,7 +158,7 @@ class TestFit:
                     "--method", method, "--rank", "2", "--tol", "1e-4",
                     "--output", str(out), *(("--balanced",) if balanced else ()),
                 ) == 0
-                s = search(load_grouped(path, "group", balanced), 2, 1e-4)
+                s = search(prepare(load_grouped(path, "group", balanced)), 2, 1e-4)
                 expected = {"pca": s.pca, "ufpca": s.ufpca(), "cfpca": s.cfpca()}[method]
                 assert out.read_text(encoding="utf-8") == json.dumps(fit_record(expected)) + "\n"
 
@@ -199,7 +212,7 @@ class TestSweep:
         out = tmp_path / "report.jsonl"
         assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--max-rank", "2", "--output", str(out)) == 0
-        expected = run_sweep(load_grouped(s1_csv, "group"), 2, DEFAULT_TOL, "s1", False)
+        expected = run_sweep(prepare(load_grouped(s1_csv, "group")), 2, DEFAULT_TOL, "s1", False)
         assert load_report(out) == expected
 
     def test_dotted_output_name_keeps_its_dots(self, s1_csv, tmp_path):
@@ -243,7 +256,7 @@ class TestSweep:
         # reference: library pipeline on the balanced 3+3 table
         g = balance(load_table(path, "group"))
         assert np.count_nonzero(g.in_a) == np.count_nonzero(~g.in_a) == 3
-        expected = run_sweep(g, 2, 1e-6, "toy", True)
+        expected = run_sweep(prepare(g), 2, 1e-6, "toy", True)
         for rec, row in zip(rows, expected):
             assert rec["balanced"] is True
             assert rec["overall_err"] == row["overall_err"]
@@ -255,7 +268,7 @@ class TestSweep:
         calls = count_solves(monkeypatch)
         for max_rank in (0, s1_grouped.features.shape[1] + 1):
             with pytest.raises(LinalgError, match="rank"):
-                run_sweep(s1_grouped, max_rank, 1e-6, "s1", False)
+                run_sweep(prepare(s1_grouped), max_rank, 1e-6, "s1", False)
         assert len(calls) == 2  # prepare's, once per call
 
 
@@ -642,10 +655,10 @@ class TestSharedWork:
         # every rank has an interior root and a budget its root meets, so
         # cfpca adds no solve: one for prepare, then per rank alpha = 0,
         # one per halving and the secant point
-        g = load_grouped(wide_csv, "group")
+        p = prepare(load_grouped(wide_csv, "group"))
         expected = 1
         for r in range(1, 5):
-            uf, cf = search(g, r).ufpca(), search(g, r).cfpca()
+            uf, cf = search(p, r).ufpca(), search(p, r).cfpca()
             assert 0.0 < uf.alpha < 1.0
             assert (cf.alpha, cf.iterations) == (uf.alpha, uf.iterations)
             expected += uf.iterations + 2
@@ -658,24 +671,27 @@ class TestSharedWork:
         capsys.readouterr()
         assert len(calls) == 1
 
-    def test_sweep_grams_independent_of_rank(self, wide_csv, monkeypatch, capsys):
-        import fairdim.fairpca as fairpca_module
+    @pytest.fixture()
+    def grams(self, monkeypatch):
+        """The ``scaled_gram`` calls ``prepare`` makes: C, C_a and C_b."""
+        calls = []
+        real = fairpca.scaled_gram
+        monkeypatch.setattr(fairpca, "scaled_gram", lambda *a: calls.append(1) or real(*a))
+        return calls
 
-        real = fairpca_module.scaled_gram
-        counts = []
+    def test_sweep_grams_independent_of_rank(self, wide_csv, grams, capsys):
         for max_rank in ("1", "3"):
-            calls = []
-
-            def counting(*args, **kwargs):
-                calls.append(1)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(fairpca_module, "scaled_gram", counting)
+            grams.clear()
             assert run_cli("sweep", "--input", str(wide_csv), "--sensitive-col", "group",
                            "--max-rank", max_rank) == 0
-            counts.append(len(calls))
+            assert len(grams) == 3
         capsys.readouterr()
-        assert counts[0] == counts[1] > 0
+
+    def test_fit_computes_grams_once(self, wide_csv, grams, capsys):
+        assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
+                       "--method", "ufpca", "--rank", "2") == 0
+        capsys.readouterr()
+        assert len(grams) == 3
 
 
 FIT_LOG = r"fit dataset=s1 method=(pca|ufpca|cfpca) r=([0-9]+) runtime_ms=([0-9]+)\n"

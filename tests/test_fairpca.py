@@ -70,12 +70,12 @@ def fair_projection(m, alpha, r):
 
 class TestSearchTol:
     def test_defaults(self):
-        assert search(identical_groups(), 1).tol == 1e-6
+        assert search(prepare(identical_groups()), 1).tol == 1e-6
 
     def test_rejects_bad_tol(self):
         for tol in (0.0, -1e-3, math.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
-                search(identical_groups(), 1, tol)
+                search(prepare(identical_groups()), 1, tol)
 
 
 class TestClassicalPca:
@@ -84,7 +84,7 @@ class TestClassicalPca:
         s2, s1 = np.sqrt(2.0), 1.0
         feats = [[s2, 0.0], [-s2, 0.0], [0.0, s1], [0.0, -s1]]
         g = make_table(feats, list("aabb"))
-        fit = search(g, 1).pca
+        fit = search(prepare(g), 1).pca
         assert np.allclose(np.abs(fit.u[:, 0]), [1.0, 0.0], atol=1e-12)
         # overall error equals the discarded eigenvalue of C_X = diag(1, 0.5)
         assert fit.metrics.overall_err == pytest.approx(0.5, abs=1e-12)
@@ -94,22 +94,22 @@ class TestClassicalPca:
     def test_full_rank_zero_error(self):
         rng = np.random.default_rng(10)
         g = random_grouped(rng, 20, 10, 4)
-        fit = search(g, 4).pca
+        fit = search(prepare(g), 4).pca
         assert fit.metrics.overall_err == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_45_degrees(self):
         feats = [[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]]
         g = make_table(feats, list("abab"))
-        fit = search(g, 1).pca
+        fit = search(prepare(g), 1).pca
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(fit.u[:, 0], [s, s], atol=1e-12)
 
     def test_rank_out_of_range(self):
         g = identical_groups()
         with pytest.raises(LinalgError):
-            search(g, 0).pca
+            search(prepare(g), 0).pca
         with pytest.raises(LinalgError):
-            search(g, 3).pca
+            search(prepare(g), 3).pca
 
     def test_rank_beyond_feature_count(self, s1_grouped):
         p = prepare(s1_grouped)
@@ -120,7 +120,7 @@ class TestClassicalPca:
         rng = np.random.default_rng(11)
         for _ in range(10):
             g = random_grouped(rng, 25, 15, 5)
-            fit = search(g, 2).pca
+            fit = search(prepare(g), 2).pca
             assert fit.metrics.disparity >= 0.0
 
 
@@ -161,7 +161,7 @@ class TestFairProjection:
         for _ in range(5):
             g = random_grouped(rng, 30, 20, 5)
             for r in (1, 2, 4):
-                u_pca = search(g, r).pca.u
+                u_pca = search(prepare(g), r).pca.u
                 u_fair = fair_projection(moments(g), 1.0, r)
                 assert projector_gap(u_fair, u_pca) <= 1e-8
 
@@ -177,7 +177,7 @@ class TestFairProjection:
 
     def test_identical_groups_match_pca_for_positive_alpha(self):
         g = identical_groups()
-        u_pca = search(g, 1).pca.u
+        u_pca = search(prepare(g), 1).pca.u
         for alpha in (0.1, 0.5, 0.9, 1.0):
             assert projector_gap(fair_projection(moments(g), alpha, 1), u_pca) <= 1e-8
 
@@ -264,33 +264,33 @@ class TestBisect:
 
 class TestUFpca:
     def test_identical_groups_fairness_zero(self):
-        fit = search(identical_groups(), 1).ufpca()
+        fit = search(prepare(identical_groups()), 1).ufpca()
         assert fit.metrics.fairness == pytest.approx(0.0, abs=1e-15)
 
     def test_beats_pca_on_synthetic(self, s1_grouped):
-        pca = search(s1_grouped, 1).pca
-        fit = search(s1_grouped, 1).ufpca()
+        pca = search(prepare(s1_grouped), 1).pca
+        fit = search(prepare(s1_grouped), 1).ufpca()
         assert fit.metrics.fairness <= pca.metrics.fairness
         assert fit.method == "ufpca"
         assert 0.0 <= fit.alpha <= 1.0
         assert fit.iterations == 20
 
     def test_respects_tolerance_config(self, s1_grouped):
-        loose = search(s1_grouped, 1, tol=1e-2).ufpca()
+        loose = search(prepare(s1_grouped), 1, tol=1e-2).ufpca()
         assert loose.iterations == 7
 
     def test_terminates_without_iteration_cap(self, s1_grouped):
         # the finest tol halves until the bracket's ends are adjacent floats
-        fine = search(s1_grouped, 1, tol=5e-324).ufpca()
+        fine = search(prepare(s1_grouped), 1, tol=5e-324).ufpca()
         assert fine.iterations <= 64
-        assert fine.metrics.fairness <= search(s1_grouped, 1).ufpca().metrics.fairness
+        assert fine.metrics.fairness <= search(prepare(s1_grouped), 1).ufpca().metrics.fairness
 
     def test_never_less_fair_than_pca_across_a_crossing(self):
         # plain PCA fits this exactly; the second column is all zeros
         rng = np.random.default_rng(0)
         col = np.vstack([2.0 * rng.standard_normal((40, 1)), rng.standard_normal((30, 1))])
         g = make_table(np.hstack([col, np.zeros((70, 1))]), ["a"] * 40 + ["b"] * 30)
-        fit = search(g, 1).ufpca()
+        fit = search(prepare(g), 1).ufpca()
         assert fit.alpha == 1.0
         assert fit.metrics.fairness == 0.0
 
@@ -298,18 +298,48 @@ class TestUFpca:
         # at 2^-300 every squared disparity underflows to 0; the fit must
         # still be the candidate nearest fair, as it is unscaled
         g = random_grouped(np.random.default_rng(2), 200, 100, 6)
-        s = search(dataclasses.replace(g, features=g.features * 2.0**-300), 2)
+        s = search(prepare(dataclasses.replace(g, features=g.features * 2.0**-300)), 2)
         candidates, _ = s.roots
         assert len(candidates) == 3
         assert all(p.metrics.fairness == 0.0 for p in candidates)
         fit = s.ufpca()
         assert abs(fit.metrics.disparity) == min(abs(p.metrics.disparity) for p in candidates)
-        assert fit.alpha == pytest.approx(search(g, 2).ufpca().alpha, abs=s.tol)
+        assert fit.alpha == pytest.approx(search(prepare(g), 2).ufpca().alpha, abs=s.tol)
+
+    def test_best_fair_rank_one_projection(self):
+        # the paper's optimality claim, against every rank-1 projection and
+        # not only the alpha family: among the directions u of a dense
+        # Fibonacci hemisphere that are fair, u'Du >= c with D = C_b - C_a
+        # and c = tr_b - tr_a in the fit's roles, none loses less overall
+        # variance than ufpca's root. A blend alpha*C + (1 - alpha)*C_b
+        # still passes, because its roots are weighted sums of C_a and C_b
+        # too; a solve that took the second eigenvector fails every cell
+        n = 20_000
+        z = 1.0 - (np.arange(n) + 0.5) / n
+        phi = np.arange(n) * np.pi * (3.0 - np.sqrt(5.0))
+        rho = np.sqrt(1.0 - z * z)
+        grid = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+        interior = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            xa = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 3))
+            xb = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 3))
+            s = search(prepare(make_table(np.vstack([xa, xb]), ["a"] * 200 + ["b"] * 60)), 1)
+            fit = s.ufpca()
+            if not 0.0 < fit.alpha < 1.0:
+                continue
+            interior += 1
+            m = s.moments
+            fair = np.einsum("ij,jk,ik->i", grid, m.c_b - m.c_a, grid) >= m.tr_b - m.tr_a
+            errs = m.tr - np.einsum("ij,jk,ik->i", grid[fair], m.c, grid[fair])
+            assert abs(fit.metrics.disparity) <= 1e-6 * (m.tr_a + m.tr_b), seed
+            assert fit.metrics.overall_err <= errs.min() + 1e-12 * m.tr, seed
+        assert interior >= 25
 
     def test_metrics_recomputable(self, s1_grouped):
         g = s1_grouped
-        fit = search(g, 1).ufpca()
-        pca = search(g, 1).pca
+        fit = search(prepare(g), 1).ufpca()
+        pca = search(prepare(g), 1).pca
         x = centered(g)
         x_a, x_b = x[g.in_a], x[~g.in_a]
         x_privileged, x_harmed = (x_a, x_b) if pca.privileged == g.label_a else (x_b, x_a)
@@ -324,19 +354,19 @@ class TestUFpca:
 class TestCFpca:
     def test_identical_groups_match_pca(self):
         g = identical_groups()
-        fit = search(g, 1).cfpca()
-        pca = search(g, 1).pca
+        fit = search(prepare(g), 1).cfpca()
+        pca = search(prepare(g), 1).pca
         assert projector_gap(fit.u, pca.u) <= 1e-8
         assert fit.metrics.fairness == pytest.approx(0.0, abs=1e-15)
 
     def test_budget_is_harmed_group_pca_error(self, s1_grouped):
-        fit = search(s1_grouped, 1).cfpca()
-        pca = search(s1_grouped, 1).pca
+        fit = search(prepare(s1_grouped), 1).cfpca()
+        pca = search(prepare(s1_grouped), 1).pca
         assert fit.budget == pca.metrics.err_b
 
     def test_contract_on_synthetic(self, s1_grouped):
-        pca = search(s1_grouped, 1).pca
-        fit = search(s1_grouped, 1).cfpca()
+        pca = search(prepare(s1_grouped), 1).pca
+        fit = search(prepare(s1_grouped), 1).cfpca()
         assert fit.metrics.err_a <= fit.budget
         assert fit.metrics.err_b <= fit.budget
         assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
@@ -346,8 +376,8 @@ class TestCFpca:
         for _ in range(10):
             g = random_grouped(rng, 40, 25, 5)
             r = int(rng.integers(1, 5))
-            fit = search(g, r).cfpca()
-            pca = search(g, r).pca
+            fit = search(prepare(g), r).cfpca()
+            pca = search(prepare(g), r).pca
             assert fit.metrics.err_a <= fit.budget
             assert fit.metrics.err_b <= fit.budget
             assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
@@ -360,8 +390,8 @@ class TestCFpca:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             g = random_grouped(rng, int(rng.integers(3, 40)), int(rng.integers(3, 40)), d)
-            fit = search(g, d).cfpca()
-            pca = search(g, d).pca
+            fit = search(prepare(g), d).cfpca()
+            pca = search(prepare(g), d).pca
             assert fit.metrics.err_a <= fit.budget
             assert fit.metrics.err_b <= fit.budget
             assert fit.metrics.fairness <= pca.metrics.fairness + 1e-12
@@ -376,7 +406,7 @@ class TestCFpca:
             d = int(rng.integers(2, 7))
             g = random_grouped(rng, int(rng.integers(3, 50)), int(rng.integers(3, 50)), d)
             r = int(rng.integers(1, d + 1))
-            fit, root = search(g, r).cfpca(), search(g, r).ufpca()
+            fit, root = search(prepare(g), r).cfpca(), search(prepare(g), r).ufpca()
             if max(root.metrics.err_a, root.metrics.err_b) <= fit.budget:
                 continue
             seen += 1
@@ -396,7 +426,7 @@ class TestCFpca:
 
     def test_one_decomposition_per_alpha(self, s1_grouped, monkeypatch):
         calls = count_solves(monkeypatch)
-        fit = search(s1_grouped, 1).cfpca()
+        fit = search(prepare(s1_grouped), 1).cfpca()
         # one for the baseline PCA (alpha = 1 reuses it), one at alpha = 0,
         # one per halving and one at the secant point
         assert len(calls) == fit.iterations + 3
@@ -406,7 +436,7 @@ class TestSharedSearch:
     """ufpca and cfpca at one rank derive from one root search."""
 
     def test_cfpca_after_ufpca_adds_no_solve(self, s1_grouped, monkeypatch):
-        s = search(s1_grouped, 1)
+        s = search(prepare(s1_grouped), 1)
         calls = count_solves(monkeypatch)
         uf = s.ufpca()
         assert 0.0 < uf.alpha < 1.0
@@ -418,7 +448,7 @@ class TestSharedSearch:
     def test_budget_bisection_adds_only_its_halvings(self, monkeypatch):
         # ufpca lands on alpha = 0 and breaks the budget, so cfpca bisects
         # up from there; alpha = 1 is plain PCA and costs no solve
-        s = search(random_grouped(np.random.default_rng(7), 38, 3, 2), 1)
+        s = search(prepare(random_grouped(np.random.default_rng(7), 38, 3, 2)), 1)
         calls = count_solves(monkeypatch)
         uf = s.ufpca()
         before = len(calls)
@@ -430,13 +460,13 @@ class TestSharedSearch:
     def test_concurrent_first_use(self, s1_grouped):
         # threads that race to the first use of one Search may each run the
         # root search, but every fit they derive is the serial one
-        serial = search(s1_grouped, 1)
+        serial = search(prepare(s1_grouped), 1)
         expected = (serial.ufpca(), serial.cfpca())
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                s = search(s1_grouped, 1)
+                s = search(prepare(s1_grouped), 1)
                 results = []
 
                 def work(s=s, results=results):
@@ -470,7 +500,7 @@ class TestFullRank:
             pca = search(p, d).pca
             for fit_fn in (Search.ufpca, Search.cfpca):
                 calls.clear()
-                fit = fit_fn(search(g, d))
+                fit = fit_fn(search(prepare(g), d))
                 assert (fit.alpha, fit.iterations, len(calls)) == (1.0, 0, 1)
                 assert np.array_equal(fit.u, pca.u)
                 assert fit.metrics == pca.metrics
@@ -500,7 +530,7 @@ class TestNumericGate:
         # 1e70 gives moments near 1e140 and fairness near 1e280: all finite
         rng = np.random.default_rng(5)
         g = make_table(1e70 * rng.standard_normal((8, 2)), list("aaaabbbb"))
-        for fit in (search(g, 1).ufpca(), search(g, 1).cfpca()):
+        for fit in (search(prepare(g), 1).ufpca(), search(prepare(g), 1).cfpca()):
             assert np.isfinite(list(dataclasses.astuple(fit.metrics))).all()
             assert 0.0 <= fit.alpha <= 1.0
 
@@ -577,13 +607,13 @@ def hostile_draw(family, rng, n_a, n_b, d):
 
 def assert_every_rank_fits(g):
     for r in range(1, g.features.shape[1] + 1):
-        s = search(g, r)
+        s = search(prepare(g), r)
         pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
         for fit in (pca, uf, cf):
             assert 0.0 <= fit.alpha <= 1.0
         assert abs(uf.metrics.disparity) <= abs(pca.metrics.disparity)
         assert cf.metrics.err_a <= cf.budget and cf.metrics.err_b <= cf.budget
-        again = search(g, r)
+        again = search(prepare(g), r)
         for fit, rerun in zip((pca, uf, cf), (again.pca, again.ufpca(), again.cfpca())):
             assert json.dumps(fit_record(fit)) == json.dumps(fit_record(rerun))
 
@@ -645,7 +675,7 @@ class TestHostileInputs:
         calls = count_solves(monkeypatch)
         for r in range(1, g.features.shape[1] + 1):
             calls.clear()
-            s = search(g, r)
+            s = search(prepare(g), r)
             for fit in (s.ufpca(), s.cfpca()):
                 assert (fit.alpha, fit.iterations) == (1.0, 0)
                 assert np.array_equal(fit.u, s.pca.u)
@@ -680,7 +710,7 @@ class TestNumericalRank:
         calls = count_solves(monkeypatch)
         for r in range(max(HOSTILE_RANK.get(case, d), 1), d + 1):
             calls.clear()
-            s = search(g, r)
+            s = search(prepare(g), r)
             pca, uf, cf = s.pca, s.ufpca(), s.cfpca()
             assert len(calls) == 1  # plain PCA's; alpha = 1 reuses it
             want = {**fit_record(pca), "method": None, "budget": None}
@@ -711,7 +741,7 @@ class TestPlainPcaRoles:
     @staticmethod
     def fit(a_scale, b_scale):
         rows = [[a_scale, 0.0], [-a_scale, 0.0], [0.0, b_scale], [0.0, -b_scale]]
-        return search(make_table(rows, list("aabb")), 1).pca
+        return search(prepare(make_table(rows, list("aabb"))), 1).pca
 
     def test_first_group_favored(self):
         pca = self.fit(2.0, 1.0)  # plain PCA keeps x: group a exactly
@@ -732,7 +762,7 @@ class TestPlainPcaRoles:
         rows = [[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         for labels in ("ab" * 4, "ba" * 4):
             g = make_table([row for row in rows for _ in "ab"], list(labels))
-            pca = search(g, 1).pca
+            pca = search(prepare(g), 1).pca
             assert pca.metrics.err_a == pca.metrics.err_b == 0.5
             assert (pca.privileged, pca.harmed) == (labels[0], labels[1])
 
@@ -752,7 +782,7 @@ class TestRoleAssignment:
         monkeypatch.setattr(
             fairpca_module, "_plain", lambda *args: calls.append(1) or real(*args)
         )
-        fit = fit_fn(search(g, 2))
+        fit = fit_fn(search(prepare(g), 2))
         assert len(calls) == 1
 
         # the same roles, budget and metric order as plain PCA's

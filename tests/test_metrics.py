@@ -119,7 +119,7 @@ class TestMetricProperties:
     def test_rotation_invariance_within_subspace(self):
         rng = np.random.default_rng(6)
         g = random_grouped(rng, 30, 20, 5)
-        u = search(g, 3).pca.u
+        u = search(prepare(g), 3).pca.u
         moments = prepare(g).moments
         base = moment_metrics(moments, u)
         for _ in range(10):
@@ -133,7 +133,7 @@ class TestMetricProperties:
     def test_overall_error_monotone_in_rank(self):
         rng = np.random.default_rng(7)
         g = random_grouped(rng, 40, 25, 6)
-        errs = [search(g, r).pca.metrics.overall_err for r in range(1, 7)]
+        errs = [search(prepare(g), r).pca.metrics.overall_err for r in range(1, 7)]
         assert all(errs[i] >= errs[i + 1] - 1e-12 for i in range(5))
         assert errs[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -180,7 +180,7 @@ class TestMomentMetrics:
         floor = 1e-12 * min(1.0, moments.tr)
         rng = np.random.default_rng(18)
         for r in range(1, min(3, d) + 1):
-            for u in (rand_orthonormal(rng, d, r), search(g, r).pca.u):
+            for u in (rand_orthonormal(rng, d, r), search(prepare(g), r).pca.u):
                 m = moment_metrics(moments, u)
                 want = (
                     avg_reconstruction_error_direct(x, u),
@@ -197,7 +197,7 @@ def test_fairness_is_the_rounded_square_at_tiny_scale():
     # correctly rounded float64 square, beside a disparity that is not 0
     g = random_grouped(np.random.default_rng(2), 200, 100, 6)
     tiny = dataclasses.replace(g, features=g.features * 2.0**-300)
-    rows = run_sweep(tiny, 3, 1e-6, "tiny", False)
+    rows = run_sweep(prepare(tiny), 3, 1e-6, "tiny", False)
     assert len(rows) == 9
     for row in rows:
         assert row["disparity"] != 0.0
