@@ -38,18 +38,17 @@ data's numerical rank on, plain PCA is exact and the fair fits return it.
 ``search(p, r, tol)`` is the one way from a ``Prepared`` to a fit. It
 returns the ``Search`` record that the three fits at one rank share:
 ``.pca`` is plain PCA, and ``.ufpca()`` and ``.cfpca()`` share one root
-search, run on first use. For example, ``s = search(prepare(table), r=1)``
-then ``s.cfpca()``, or ``fit_one(s, "cfpca")``: the one dispatch from a
-name in ``METHODS`` to its fit, shared by the CLI's ``fit`` and every
-cell of a sweep. A sweep shares one ``Prepared`` plus one ``Search`` per
-rank. A ``Search`` belongs to one thread: its root search is cached on
-first use, without a lock.
+search. Each alpha is solved once: ``.points`` holds every point, plain
+PCA's first, in evaluation order. For example, ``s = search(prepare(table),
+r=1)`` then ``s.cfpca()``, or ``fit_one(s, "cfpca")``: the one dispatch
+from a name in ``METHODS`` to its fit, shared by the CLI's ``fit`` and
+every cell of a sweep. A sweep shares one ``Prepared`` plus one ``Search``
+per rank. A ``Search`` belongs to one thread: it fills ``.points`` unlocked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -232,32 +231,36 @@ def _fairest(points) -> _Point:
 class Search:
     """The three fits at one rank. Plain PCA ``pca`` sets the roles: its
     privileged-first ``moments`` drive every blend, and its harmed error is
-    cfpca's budget. ``roots`` runs the root search both fair fits share on
-    first use, so a plain-PCA fit never pays for it. It skips the search
-    on round-off: when ``exact`` (r at least the data's rank), and when
-    plain PCA's disparity is at most d*eps*(tr_a + tr_b), the size of the
-    round-off in two group errors, so groups with the same covariance get
-    plain PCA."""
+    cfpca's budget. Each alpha is solved once, by ``evaluate``: ``points``
+    holds every point in evaluation order, plain PCA's first, so a plain
+    PCA fit solves nothing. ``roots`` skips the search on round-off: when
+    ``exact`` (r at least the data's rank), and when plain PCA's disparity
+    is at most d*eps*(tr_a + tr_b), the size of the round-off in two group
+    errors, so groups with the same covariance get plain PCA."""
 
     pca: FairFitResult
     moments: Moments
     tol: float
     exact: bool
+    points: dict[float, _Point] = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.points[1.0] = _Point(1.0, self.pca.u, self.pca.metrics)
 
     def evaluate(self, alpha: float) -> _Point:
-        if alpha == 1.0:  # plain PCA itself: no second solve
-            return _Point(1.0, self.pca.u, self.pca.metrics)
-        r = self.pca.u.shape[1]
-        u = sym_eig_top_r(weighted_covariance(self.moments, alpha), r).vectors
-        return _Point(alpha, u, moment_metrics(self.moments, u))
+        if alpha not in self.points:
+            r = self.pca.u.shape[1]
+            u = sym_eig_top_r(weighted_covariance(self.moments, alpha), r).vectors
+            self.points.setdefault(alpha, _Point(alpha, u, moment_metrics(self.moments, u)))
+        return self.points[alpha]
 
-    @cached_property
+    @property
     def roots(self) -> tuple[tuple[_Point, ...], int]:
         """The points ufpca picks from, and the halvings it took to find
         them: plain PCA when it is exact or fair up to round-off, alpha = 0
         when even that leaves the harmed group worse off, and otherwise both
         ends of the bracket around the disparity's sign change plus the
-        secant point between them."""
+        secant point. A second read re-walks ``points`` and solves nothing."""
         one = self.evaluate(1.0)
         m = self.moments
         round_off = len(m.c) * np.finfo(np.float64).eps * (m.tr_a + m.tr_b)

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairdim import cli, fairpca, report
+from fairdim import cli, dataset, fairpca, report
 from fairdim.dataset import balance, load_grouped, load_table, write_table
 from fairdim.fairpca import DEFAULT_TOL, prepare, search
 from fairdim.linalg import LinalgError
@@ -793,3 +794,42 @@ def test_benchmark_setup_code_runs(groups, balanced, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# the module attributes the benchmark's tracer wraps by name, as each caller
+# resolves them; the tracer skips a missing name without a word, which
+# would zero that layer's metrics
+TRACED = (
+    (cli, ("load_grouped", "run_sweep", "write_report_jsonl", "write_report_csv", "fit_record")),
+    (dataset, ("load_table", "balance")),
+    (fairpca, ("scaled_gram", "sym_eig_top_r")),
+)
+
+
+@pytest.mark.parametrize("argv, path", [
+    (("sweep", "--max-rank", "2", "--output", "sweep.jsonl"),
+     {"load_grouped", "load_table", "scaled_gram", "sym_eig_top_r",
+      "run_sweep", "write_report_jsonl", "write_report_csv"}),
+    (("fit", "--method", "cfpca", "--rank", "1", "--balanced", "--output", "fit.json"),
+     {"load_grouped", "load_table", "balance", "scaled_gram", "sym_eig_top_r",
+      "fit_record"}),
+])
+def test_benchmark_traced_names_resolve(argv, path, s1_csv, monkeypatch):
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module, names in TRACED:
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    *head, out = argv
+    assert run_cli(*head, str(s1_csv.with_name(out)),
+                   "--input", str(s1_csv), "--sensitive-col", "group") == 0
+    assert set(counts) == path
+    assert counts["scaled_gram"] == 3  # C, C_a and C_b, once per command
+    # prepare's one full decomposition, then the search's per-alpha solves
+    assert counts["sym_eig_top_r"] > 1

@@ -487,6 +487,56 @@ class TestSharedSearch:
             sys.setswitchinterval(switch)
 
 
+class TestPointLog:
+    """A ``Search`` keeps every point it evaluated, in evaluation order."""
+
+    def test_ufpca_logs_each_solve_in_order(self, s1_grouped, monkeypatch):
+        s = search(prepare(s1_grouped), 1)
+        calls = count_solves(monkeypatch)
+        uf = s.ufpca()
+        keys = list(s.points)
+        assert len(keys) == 1 + len(calls) == 3 + uf.iterations
+        assert keys[:2] == [1.0, 0.0]
+        # then the midpoints in halving order, then the secant point
+        lo, hi = s.points[0.0], s.points[1.0]
+        for alpha in keys[2:-1]:
+            assert alpha == 0.5 * (lo.alpha + hi.alpha)
+            if s.points[alpha].metrics.disparity > 0.0:
+                hi = s.points[alpha]
+            else:
+                lo = s.points[alpha]
+        d_lo, d_hi = lo.metrics.disparity, hi.metrics.disparity
+        assert keys[-1] == lo.alpha + (hi.alpha - lo.alpha) * d_lo / (d_lo - d_hi)
+        assert uf.u is s.points[uf.alpha].u
+        s.cfpca()  # a root candidate meets the budget
+        assert list(s.points) == keys
+
+    def test_budget_bisection_logs_only_its_halvings(self):
+        # the tables of TestCFpca's grid oracle, some of which bisect for
+        # the budget
+        rng = np.random.default_rng(15)
+        seen = 0
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            g = random_grouped(rng, int(rng.integers(3, 50)), int(rng.integers(3, 50)), d)
+            r = int(rng.integers(1, d + 1))
+            s = search(prepare(g), r)
+            uf = s.ufpca()
+            keys = list(s.points)
+            cf = s.cfpca()
+            assert len(s.points) - len(keys) == cf.iterations - uf.iterations
+            assert cf.u is s.points[cf.alpha].u
+            seen += cf.iterations > uf.iterations
+        assert seen >= 2
+
+    def test_exact_rank_logs_plain_pca_only(self, s1_grouped):
+        p = prepare(s1_grouped)
+        s = search(p, p.rank)
+        s.ufpca()
+        s.cfpca()
+        assert list(s.points) == [1.0]
+
+
 class TestFullRank:
     def test_full_rank_is_plain_pca(self, monkeypatch):
         # at r = d plain PCA reconstructs every row exactly and all errors
