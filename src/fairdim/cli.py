@@ -1,6 +1,7 @@
 """Command-line front end: generate synthetic data, fit one method, sweep ranks.
 
-Exit codes: 0 success, 1 bad flags or an invalid request for the given
+``fit`` and ``sweep`` write JSONL to stdout or ``--output`` (a sweep adds a
+CSV). Exit codes: 0 success, 1 bad flags or an invalid request for the given
 data, 2 data/schema errors, 3 numeric failures. Timings go to stderr, one
 line per command, so every report artifact stays byte-reproducible.
 """
@@ -8,7 +9,6 @@ line per command, so every report artifact stays byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -109,19 +109,23 @@ def _log(line: str, start: float) -> None:
     print(f"{line} runtime_ms={round((perf_counter() - start) * 1000.0)}", file=sys.stderr)
 
 
+def _write(records, outputs: tuple[Path, ...]) -> int:
+    """JSONL to stdout, or to the first output; a sweep's second output gets CSV."""
+    if not outputs:
+        write_report_jsonl(records, sys.stdout)
+    for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
+        with path.open("w", encoding="utf-8") as fh:
+            write(records, fh)
+    return EXIT_OK
+
+
 def _cmd_fit(args) -> int:
     outputs = () if args.output is None else (args.output,)
     table = _setup(args, args.rank, "--rank", outputs)
     start = perf_counter()
     fit = fit_one(search(prepare(table), args.rank, args.tol), args.method)
     _log(f"fit dataset={args.input.stem} method={args.method} r={args.rank}", start)
-
-    text = json.dumps(fit_record(fit)) + "\n"
-    if args.output is not None:
-        args.output.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write((fit_record(fit),), outputs)
 
 
 def _cmd_sweep(args) -> int:
@@ -134,12 +138,7 @@ def _cmd_sweep(args) -> int:
     start = perf_counter()
     records = run_sweep(prepare(table), args.max_rank, args.tol, args.input.stem, args.balanced)
     _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)
-    if not outputs:
-        write_report_jsonl(records, sys.stdout)
-    for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
-        with path.open("w", encoding="utf-8") as fh:
-            write(records, fh)
-    return EXIT_OK
+    return _write(records, outputs)
 
 
 def main(argv=None) -> int:
@@ -158,9 +157,5 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

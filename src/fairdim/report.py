@@ -5,11 +5,11 @@ a maximum and returns the records it writes, one per (rank, method) cell.
 A record is ``dataset_id`` and ``balanced``, then ``r``, ``method`` and
 ``alpha``, then the ``GroupMetrics`` measures in their declared order, so
 ``ROW_FIELDS`` is the only list of the keys after the first two. The
-records are written both as line-delimited JSON (one self-contained
-record per line) and as a CSV table with the same field order. The
-package writes reports and reads none: each figure series, overall
-error, fairness or the two groups' errors against rank, is a column
-subset of the CSV.
+records are written both as line-delimited JSON (one compact record per
+line, the writer a fit's one ``fit_record`` goes through too) and as a
+CSV table with the same field order. The package writes reports and
+reads none: each figure series, overall error, fairness or the two
+groups' errors against rank, is a column subset of the CSV.
 Nothing here reads a clock, so repeated runs on the same input write
 identical bytes; the CLI times each command and logs that time to stderr.
 "The same input" means the same input bytes, the same numpy and BLAS

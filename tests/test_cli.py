@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import json
 import os
 import re
@@ -161,7 +162,8 @@ class TestFit:
                 ) == 0
                 s = search(prepare(load_grouped(path, "group", balanced)), 2, 1e-4)
                 expected = {"pca": s.pca, "ufpca": s.ufpca(), "cfpca": s.cfpca()}[method]
-                assert out.read_text(encoding="utf-8") == json.dumps(fit_record(expected)) + "\n"
+                record = json.dumps(fit_record(expected), separators=(",", ":"))
+                assert out.read_text(encoding="utf-8") == record + "\n"
 
 
 class TestSweep:
@@ -276,6 +278,10 @@ class TestSweep:
 SWEEP = ("sweep", "--sensitive-col", "group", "--max-rank", "2")
 FIT_BALANCED = ("fit", "--sensitive-col", "group", "--method", "cfpca", "--rank", "1",
                 "--balanced")
+EACH_COMMAND = pytest.mark.parametrize("argv", [
+    pytest.param(SWEEP, id="sweep"),
+    pytest.param(FIT_BALANCED, id="fit-balanced"),
+])
 
 
 class TestDeterminism:
@@ -308,10 +314,14 @@ class TestDeterminism:
     def test_repeated_run_byte_identical(self, argv, s1_csv, tmp_path):
         self.assert_repeatable(argv, s1_csv, tmp_path)
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(SWEEP, id="sweep"),
-        pytest.param(FIT_BALANCED, id="fit-balanced"),
-    ])
+    @EACH_COMMAND
+    def test_stdout_is_the_jsonl_file(self, argv, s1_csv, tmp_path, capsys):
+        # one write step: without --output, the JSONL file's bytes go to stdout
+        assert run_cli(argv[0], "--input", str(s1_csv), *argv[1:]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert printed == self.written(argv, s1_csv, tmp_path)[0]
+
+    @EACH_COMMAND
     def test_quoted_labels_byte_identical(self, argv, s1_csv, tmp_path):
         # quotes send the table through the per-cell reader; the copy keeps
         # the stem s1, so the reports name the same dataset
@@ -570,6 +580,28 @@ class TestExitCodes:
         assert "eigendecomposition failed" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_returns_the_exit_code(s1_csv, monkeypatch, capsys):
+    # the installed `fairdim` script is `sys.exit(<target>())`: its target
+    # reads sys.argv and must return the exit code, not exit itself
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["fairdim"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["fairdim", "fit", "--input", str(s1_csv),
+                                      "--sensitive-col", "missing", "--method", "pca",
+                                      "--rank", "1"])
+    try:
+        code = entry()
+    except SystemExit as exc:
+        pytest.fail(f"{target} exited with {exc.code} instead of returning it")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("fairdim: data error: ")
+
+
 class TestNotPositive:
     """A --rank, --max-rank or --tol that is not a positive number is
     refused with one line, before the input is read."""
@@ -812,7 +844,7 @@ TRACED = (
       "run_sweep", "write_report_jsonl", "write_report_csv"}),
     (("fit", "--method", "cfpca", "--rank", "1", "--balanced", "--output", "fit.json"),
      {"load_grouped", "load_table", "balance", "scaled_gram", "sym_eig_top_r",
-      "fit_record"}),
+      "fit_record", "write_report_jsonl"}),
 ])
 def test_benchmark_traced_names_resolve(argv, path, s1_csv, monkeypatch):
     counts = Counter()

@@ -655,6 +655,26 @@ def hostile_draw(family, rng, n_a, n_b, d):
     return make_table(np.column_stack([x, extra]), labels)
 
 
+HOSTILE_FAMILIES = [*HOSTILE, "eigenvalue_tie"]
+
+
+def grid_by_rank(p):
+    """For each rank of ``p``: its ``Search``, TestDisparityMonotone's slack
+    and the (alpha, metrics) of a 201-point alpha grid in its roles."""
+    width = len(p.eig.values)
+    alphas = np.linspace(0.0, 1.0, 201)
+    bases = {}  # full eigenbases on the grid per role order
+    for r in range(1, width + 1):
+        s = search(p, r)
+        m = s.moments
+        key = m.c_a is p.moments.c_a
+        if key not in bases:
+            bases[key] = [fair_projection(m, a, width) for a in alphas]
+        grid = [(a, moment_metrics(m, np.ascontiguousarray(u[:, :r])))
+                for a, u in zip(alphas, bases[key])]
+        yield s, 1e-12 * (m.tr_a + m.tr_b), grid
+
+
 def assert_every_rank_fits(g):
     for r in range(1, g.features.shape[1] + 1):
         s = search(prepare(g), r)
@@ -675,7 +695,7 @@ class TestHostileInputs:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        family=st.sampled_from([*HOSTILE, "eigenvalue_tie"]),
+        family=st.sampled_from(HOSTILE_FAMILIES),
         seed=st.integers(0, 2**32 - 1),
         n_a=st.integers(1, 12),
         n_b=st.integers(1, 8),
@@ -688,7 +708,7 @@ class TestHostileInputs:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        family=st.sampled_from([*HOSTILE, "eigenvalue_tie"]),
+        family=st.sampled_from(HOSTILE_FAMILIES),
         seed=st.integers(0, 2**32 - 1),
         n_a=st.integers(1, 12),
         n_b=st.integers(1, 8),
@@ -700,23 +720,40 @@ class TestHostileInputs:
         # at no rank may an alpha of a 201-point grid outside it be fairer,
         # up to TestDisparityMonotone's slack
         p = prepare(hostile_draw(family, np.random.default_rng(seed), n_a, n_b, d))
-        width = len(p.eig.values)
-        grid = np.linspace(0.0, 1.0, 201)
-        bases = {}  # full eigenbases on the grid per role order
-        for r in range(1, width + 1):
-            s = search(p, r)
+        for s, slack, grid in grid_by_rank(p):
             alphas = [point.alpha for point in s.roots[0]]
             lo, hi = min(alphas), max(alphas)
             fairest = abs(s.ufpca().metrics.disparity)
-            m = s.moments
-            key = m.c_a is p.moments.c_a
-            if key not in bases:
-                bases[key] = [fair_projection(m, a, width) for a in grid]
-            slack = 1e-12 * (m.tr_a + m.tr_b)
-            for a, u in zip(grid, bases[key]):
+            for a, x in grid:
                 if not lo < a < hi:
-                    gap = moment_metrics(m, np.ascontiguousarray(u[:, :r])).disparity
-                    assert abs(gap) >= fairest - slack, (r, a)
+                    assert abs(x.disparity) >= fairest - slack, (s.pca.u.shape[1], a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(HOSTILE_FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 12),
+        n_b=st.integers(1, 8),
+        d=st.integers(1, 6),
+    )
+    # cfpca bisects for its budget here, at rank 3 and at rank 2
+    @example(family="one_row_group", seed=1, n_a=9, n_b=2, d=4)
+    @example(family="eigenvalue_tie", seed=0, n_a=3, n_b=5, d=2)
+    def test_cfpca_beats_a_dense_grid(self, family, seed, n_a, n_b, d):
+        # cfpca's answer is the upper end of its final bracket, which runs
+        # down to the nearest point it evaluated below that answer: at no
+        # rank may an alpha of a 201-point grid outside it meet the budget
+        # and be fairer, up to TestDisparityMonotone's slack
+        p = prepare(hostile_draw(family, np.random.default_rng(seed), n_a, n_b, d))
+        for s, slack, grid in grid_by_rank(p):
+            cf = s.cfpca()
+            budget = cf.budget
+            assert cf.metrics.err_a <= budget and cf.metrics.err_b <= budget
+            lo = max((a for a in s.points if a < cf.alpha), default=cf.alpha)
+            fairest = abs(cf.metrics.disparity)
+            for a, x in grid:
+                if not lo < a < cf.alpha and x.err_a <= budget and x.err_b <= budget:
+                    assert abs(x.disparity) >= fairest - slack, (s.pca.u.shape[1], a)
 
     def test_identical_covariances_get_plain_pca(self, monkeypatch):
         # every disparity is round-off, which used to start a search that
