@@ -1,9 +1,10 @@
 """Command-line front end: generate synthetic data, fit one method, sweep ranks.
 
 ``fit`` and ``sweep`` write JSONL to stdout or ``--output`` (a sweep adds a
-CSV). Exit codes: 0 success, 1 bad flags or an invalid request for the given
-data, 2 data/schema errors, 3 numeric failures. Timings go to stderr, one
-line per command, so every report artifact stays byte-reproducible.
+CSV). The exception class sets the exit code: 0 success, 1 ``ValueError``
+(bad flags or requests), 2 ``DataError`` or ``OSError``, 3 ``LinalgError``.
+Timings go to stderr, one line per command, so every report artifact stays
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-class _UsageError(Exception):
-    """Flag-level problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _above(floor, cast, kind="positive"):
@@ -79,9 +76,9 @@ def _build_parser() -> _Parser:
 def _check_output(out: Path) -> None:
     """Refuse an output path that is a directory or in no existing directory."""
     if out.is_dir():
-        raise _UsageError(f"output {out} is a directory")
+        raise ValueError(f"output {out} is a directory")
     if not out.parent.is_dir():
-        raise _UsageError(f"output {out}: no directory {out.parent}")
+        raise ValueError(f"output {out}: no directory {out.parent}")
 
 
 def _cmd_gen(args) -> int:
@@ -90,17 +87,14 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _setup(args, rank: int, flag: str, outputs: tuple[Path, ...]):
-    """Load the table (so the loader names a missing input), then, before
-    any fit, refuse an output path that ``_check_output`` refuses or that
-    is ``--input``, and a ``rank`` above the table's width."""
+def _setup(args, outputs: tuple[Path, ...]):
+    """Load the table (so the loader names a missing input), then refuse an
+    output path that ``_check_output`` refuses or that is ``--input``."""
     table = load_grouped(args.input, args.sensitive_col, balanced=args.balanced)
     for out in outputs:
         _check_output(out)
         if out.exists() and out.samefile(args.input):
-            raise _UsageError(f"output {out} would overwrite --input {args.input}")
-    if rank > table.features.shape[1]:
-        raise _UsageError(f"{flag} {rank} exceeds feature count {table.features.shape[1]}")
+            raise ValueError(f"output {out} would overwrite --input {args.input}")
     return table
 
 
@@ -121,7 +115,7 @@ def _write(records, outputs: tuple[Path, ...]) -> int:
 
 def _cmd_fit(args) -> int:
     outputs = () if args.output is None else (args.output,)
-    table = _setup(args, args.rank, "--rank", outputs)
+    table = _setup(args, outputs)
     start = perf_counter()
     fit = fit_one(search(prepare(table), args.rank, args.tol), args.method)
     _log(f"fit dataset={args.input.stem} method={args.method} r={args.rank}", start)
@@ -129,12 +123,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    outputs = ()
-    if args.output is not None:
+    outputs = () if args.output is None else (args.output,)
+    # ".", "/" and ".." name no file: ``_check_output`` refuses them as given
+    if args.output is not None and args.output.name not in ("", ".."):
         # strip only a final .jsonl: report.v2.jsonl keeps its .v2
         stem = args.output.name.removesuffix(".jsonl")
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
-    table = _setup(args, args.max_rank, "--max-rank", outputs)
+    table = _setup(args, outputs)
     start = perf_counter()
     records = run_sweep(prepare(table), args.max_rank, args.tol, args.input.stem, args.balanced)
     _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)
@@ -145,16 +140,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    except _UsageError as exc:
-        print(f"fairdim: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # ahead of ValueError, which DataError is
+    # DataError and LinalgError are ValueErrors, so they go first
     except (DataError, OSError) as exc:
         print(f"fairdim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (LinalgError, ValueError) as exc:
+    except LinalgError as exc:
         print(f"fairdim: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"fairdim: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

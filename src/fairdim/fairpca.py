@@ -104,7 +104,7 @@ class FairFitResult:
                 raise ValueError("constrained fits must record their budget")
             # exactly cfpca's test: its answer passes it by construction
             if not (self.metrics.err_a <= self.budget and self.metrics.err_b <= self.budget):
-                raise ValueError("constrained fit exceeds its error budget")
+                raise LinalgError("constrained fit exceeds its error budget")
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,9 @@ class Prepared:
         return int(np.count_nonzero(values > floor))
 
     def check_rank(self, r: int) -> None:
+        """Raise ``ValueError`` unless 1 <= r <= d, the feature count."""
         if not 1 <= r <= len(self.eig.values):
-            raise LinalgError(f"rank must satisfy 1 <= r <= {len(self.eig.values)}, got {r}")
+            raise ValueError(f"rank {r} is outside 1..{len(self.eig.values)}, the feature count")
 
 
 def prepare(table: RawTable) -> Prepared:

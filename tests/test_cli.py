@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fairdim import cli, dataset, fairpca, report
-from fairdim.dataset import balance, load_grouped, load_table, write_table
+from fairdim.dataset import DataError, balance, load_grouped, load_table, write_table
 from fairdim.fairpca import DEFAULT_TOL, prepare, search
 from fairdim.linalg import LinalgError
 from fairdim.report import METHODS, fit_record, run_sweep
@@ -269,9 +269,12 @@ class TestSweep:
     def test_library_sweep_checks_max_rank(self, s1_grouped, monkeypatch):
         # the rank is refused before any fit is made
         calls = count_solves(monkeypatch)
-        for max_rank in (0, s1_grouped.features.shape[1] + 1):
-            with pytest.raises(LinalgError, match="rank"):
+        d = s1_grouped.features.shape[1]
+        for max_rank in (0, d + 1):
+            with pytest.raises(ValueError) as exc:
                 run_sweep(prepare(s1_grouped), max_rank, 1e-6, "s1", False)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"rank {max_rank} is outside 1..{d}, the feature count"
         assert len(calls) == 2  # prepare's, once per call
 
 
@@ -400,6 +403,45 @@ def test_unwritable_output_refused_before_the_fit(command, output, message, s1_c
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("output", ["", ".", "..", "/", "{tmp}/sub/.."])
+def test_sweep_output_naming_no_file_refused(output, s1_csv, tmp_path, monkeypatch, capsys):
+    # a sweep names its two files after --output's last component; ".",
+    # "/" and ".." have none, so like fit it refuses them as directories,
+    # after the load: exit 1, no timing line, nothing written
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    before = sorted(tmp_path.rglob("*"))
+    output = output.format(tmp=tmp_path)
+    argv = ["sweep", "--sensitive-col", "group", "--max-rank", "1", "--output", output]
+    missing = tmp_path / "missing.csv"
+    assert run_cli(*argv, "--input", str(missing)) == 2
+    assert capsys.readouterr().err.startswith(f"fairdim: data error: cannot open {missing}: ")
+    assert run_cli(*argv, "--input", str(s1_csv)) == 1
+    assert capsys.readouterr() == ("", f"fairdim: error: output {output or '.'} is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_every_raise_maps_to_an_exit_code():
+    # main maps ValueError to exit 1, DataError to 2 and LinalgError to 3;
+    # the package catches csv.Error itself (in _load_cells), and argparse
+    # turns ArgumentTypeError into a parser error. Any other class, or a
+    # bare re-raise, would escape main as a traceback
+    allowed = {"ValueError", "DataError", "LinalgError", "csv.Error",
+               "argparse.ArgumentTypeError"}
+    package = Path(__file__).resolve().parents[1] / "src" / "fairdim"
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add((path.name, "raise" if exc is None else ast.unparse(exc)))
+    assert {("cli.py", "ValueError"), ("dataset.py", "DataError"),
+            ("linalg.py", "LinalgError")} <= raised
+    assert sorted(site for site in raised if site[1] not in allowed) == []
+
+
 class TestReportContract:
     """The file layouts are derived from ``GroupMetrics``; these literals
     make a reordering of its fields fail here instead of changing bytes."""
@@ -449,12 +491,13 @@ class TestExitCodes:
                        "--max-rank", "0") == 1
 
     def test_rank_exceeding_width(self, s1_csv, capsys):
-        assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                       "--method", "pca", "--rank", "5") == 1
-        assert "exceeds feature count" in capsys.readouterr().err
-        assert run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                       "--max-rank", "5") == 1
-        assert "exceeds feature count" in capsys.readouterr().err
+        # search refuses it after the moments, before any fit: one line,
+        # no timing line, nothing on stdout
+        for argv in (("fit", "--method", "pca", "--rank", "5"), ("sweep", "--max-rank", "5")):
+            assert run_cli(*argv, "--input", str(s1_csv), "--sensitive-col", "group") == 1
+            assert capsys.readouterr() == (
+                "", "fairdim: error: rank 5 is outside 1..2, the feature count\n"
+            )
 
     def test_data_errors(self, tmp_path, s1_csv):
         missing = tmp_path / "missing.csv"
@@ -561,14 +604,24 @@ class TestExitCodes:
             "(or the features hold NaN/Inf); rescale the features\n"
         )
 
-    def test_numeric_failure(self, s1_csv, monkeypatch, capsys):
+    @pytest.mark.parametrize("error, code, prefix", [
+        pytest.param(error, code, prefix, id=error.__name__)
+        for error, code, prefix in [
+            (ValueError, 1, "fairdim: error:"),
+            (DataError, 2, "fairdim: data error:"),
+            (OSError, 2, "fairdim: data error:"),
+            (LinalgError, 3, "fairdim: numeric error:"),
+        ]
+    ])
+    def test_numeric_failure(self, error, code, prefix, s1_csv, monkeypatch, capsys):
+        # the exception class alone sets the exit code
         def boom(*args, **kwargs):
-            raise LinalgError("synthetic numeric failure")
+            raise error("synthetic failure")
 
         monkeypatch.setattr(fairpca, "_plain", boom)
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                       "--method", "pca", "--rank", "1") == 3
-        assert "numeric error" in capsys.readouterr().err
+                       "--method", "pca", "--rank", "1") == code
+        assert capsys.readouterr().err == f"{prefix} synthetic failure\n"
 
     def test_eigensolver_failure(self, s1_csv, monkeypatch, capsys):
         def no_convergence(*args, **kwargs):

@@ -105,16 +105,21 @@ class TestClassicalPca:
         assert np.allclose(fit.u[:, 0], [s, s], atol=1e-12)
 
     def test_rank_out_of_range(self):
-        g = identical_groups()
-        with pytest.raises(LinalgError):
-            search(prepare(g), 0).pca
-        with pytest.raises(LinalgError):
-            search(prepare(g), 3).pca
+        # a bad request, not a numeric failure: exactly ValueError
+        p = prepare(identical_groups())
+        for r in (0, 3):
+            with pytest.raises(ValueError) as exc:
+                search(p, r)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"rank {r} is outside 1..2, the feature count"
 
     def test_rank_beyond_feature_count(self, s1_grouped):
         p = prepare(s1_grouped)
-        with pytest.raises(LinalgError, match="rank"):
-            search(p, s1_grouped.features.shape[1] + 1)
+        d = s1_grouped.features.shape[1]
+        with pytest.raises(ValueError) as exc:
+            search(p, d + 1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"rank {d + 1} is outside 1..{d}, the feature count"
 
     def test_disparity_never_negative_for_pca(self):
         rng = np.random.default_rng(11)
@@ -898,7 +903,8 @@ class TestFairFitResultValidation:
         from fairdim.metrics import GroupMetrics
 
         m = GroupMetrics(1.0, 2.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="budget"):
+        # a broken fit, so a numeric failure (exit 3), not a bad request
+        with pytest.raises(LinalgError, match="^constrained fit exceeds its error budget$"):
             FairFitResult(
                 method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
                 privileged="a", harmed="b", budget=1.0,
@@ -910,7 +916,7 @@ class TestFairFitResultValidation:
         from fairdim.metrics import GroupMetrics
 
         m = GroupMetrics(1e-12, 2e-12, 1e-12, -1e-12, 1e-24)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(LinalgError, match="^constrained fit exceeds its error budget$"):
             FairFitResult(
                 method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
                 privileged="a", harmed="b", budget=1e-12,
