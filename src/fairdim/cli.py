@@ -2,7 +2,8 @@
 
 ``fit`` and ``sweep`` write JSONL to stdout or ``--output`` (a sweep adds a
 CSV). The exception class sets the exit code: 0 success, 1 ``ValueError``
-(bad flags or requests), 2 ``DataError`` or ``OSError``, 3 ``LinalgError``.
+(bad flags or requests), 2 ``DataError`` or ``OSError``, 3 ``LinalgError``,
+and 141 (128 + SIGPIPE), with no message, when the reader of stdout has gone.
 Timings go to stderr, one line per command, so every report artifact stays
 byte-reproducible.
 """
@@ -10,6 +11,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal killed
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -107,6 +110,7 @@ def _write(records, outputs: tuple[Path, ...]) -> int:
     """JSONL to stdout, or to the first output; a sweep's second output gets CSV."""
     if not outputs:
         write_report_jsonl(records, sys.stdout)
+        sys.stdout.flush()  # so a closed reader fails here, inside main
     for path, write in zip(outputs, (write_report_jsonl, write_report_csv)):
         with path.open("w", encoding="utf-8") as fh:
             write(records, fh)
@@ -140,7 +144,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    # DataError and LinalgError are ValueErrors, so they go first
+    except BrokenPipeError:
+        # the reader is gone: point stdout's descriptor at os.devnull, so the
+        # flush at interpreter exit neither warns nor turns the status into 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    # BrokenPipeError is an OSError, and DataError and LinalgError are
+    # ValueErrors, so each goes before the clause that would take it
     except (DataError, OSError) as exc:
         print(f"fairdim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -30,10 +30,11 @@ and all d plain-PCA eigenpairs. ``prepare`` centers the table's rows,
 computes both once and keeps only them and the two group labels, so no
 step after it touches the n x d rows: ``weighted_covariance`` blends the
 moments, ``sym_eig_top_r`` projects, and ``metrics.moment_metrics``
-scores. ``prepare`` is also the one numeric gate: once C, D and the
-squared traces are finite, every blend is finite and bitwise symmetric
-by construction, so the per-alpha eigensolve checks nothing. From the
-data's numerical rank on, plain PCA is exact and the fair fits return it.
+scores. ``prepare`` is also the one numeric gate: once the squared
+traces are finite, C and D are too, so every blend is finite and bitwise
+symmetric by construction, and the per-alpha eigensolve checks nothing.
+From the data's numerical rank on, plain PCA is exact and the fair fits
+return it.
 
 ``search(p, r, tol)`` is the one way from a ``Prepared`` to a fit. It
 returns the ``Search`` record that the three fits at one rank share:
@@ -84,6 +85,7 @@ class FairFitResult:
     used (from plain PCA at the same rank); ``metrics.err_a`` belongs to
     the privileged group. ``budget`` is set only for the constrained
     method and holds the cap both group errors were required to respect.
+    The one check is on LAPACK's output: the columns of ``u`` are orthonormal.
     """
 
     method: str
@@ -99,12 +101,6 @@ class FairFitResult:
         gram = self.u.T @ self.u
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-9:
             raise LinalgError("fitted projection has non-orthonormal columns")
-        if self.method == METHOD_CFPCA:
-            if self.budget is None:
-                raise ValueError("constrained fits must record their budget")
-            # exactly cfpca's test: its answer passes it by construction
-            if not (self.metrics.err_a <= self.budget and self.metrics.err_b <= self.budget):
-                raise LinalgError("constrained fit exceeds its error budget")
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,11 @@ def prepare(table: RawTable) -> Prepared:
     """Center the columns on their means over all rows, then take the second
     moments and the one plain-PCA eigendecomposition that serves every rank.
 
-    Raises only ``LinalgError``, when C, C_b - C_a or the squared traces are
-    not finite, as an overflowing mean or a NaN/Inf feature makes them. Each
-    group error lies in [0, tr_k], so the last check keeps fairness finite too.
+    Raises only ``LinalgError``, when a squared trace is not finite, as an
+    overflowing mean or a NaN/Inf feature makes it. Once the squared traces
+    are finite, C and D are too: a gram entry obeys |c_ij| <= sqrt(c_ii c_jj)
+    <= tr, and a NaN/Inf column reaches its own diagonal. Each group error
+    lies in [0, tr_k], so the fairness is finite too.
     """
     f, in_a = table.features, table.in_a
     n, d = f.shape
@@ -148,11 +146,7 @@ def prepare(table: RawTable) -> Prepared:
             c_a=scaled_gram(x[in_a], n_a),
             c_b=scaled_gram(x[~in_a], n - n_a),
         )
-        finite = (
-            np.isfinite(np.square([moments.tr, moments.tr_a, moments.tr_b])).all()
-            and np.isfinite(moments.c).all()
-            and np.isfinite(moments.c_b - moments.c_a).all()
-        )
+        finite = np.isfinite(np.square([moments.tr, moments.tr_a, moments.tr_b])).all()
     if not finite:
         raise LinalgError(
             "second moments or their squares overflow float64 "

@@ -24,6 +24,11 @@ from fairdim.synth import s1_table
 from conftest import centered, count_solves, load_report
 
 
+# the one stderr line of a fit or sweep of the ``s1_csv`` table
+FIT_LOG = r"fit dataset=s1 method=(pca|ufpca|cfpca) r=([0-9]+) runtime_ms=([0-9]+)\n"
+SWEEP_LOG = r"sweep dataset=s1 max_rank=([0-9]+) runtime_ms=([0-9]+)\n"
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -632,6 +637,43 @@ class TestExitCodes:
                        "--method", "ufpca", "--rank", "1") == 3
         assert "eigendecomposition failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, log", [
+        (("fit", "--method", "pca", "--rank", "1"), FIT_LOG),
+        (("sweep", "--max-rank", "2"), SWEEP_LOG),
+    ], ids=["fit", "sweep"])
+    def test_closed_stdout_exits_141(self, argv, log, s1_csv):
+        # the pipe's read end is closed before the child starts, so its
+        # write fails whatever the size: 128 + SIGPIPE, and no message, not
+        # even the interpreter's own at its final flush. stdout is
+        # block-buffered, as on any pipe by default, so a record this small
+        # reaches the pipe only when main flushes it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fairdim.cli", *argv, "--input", str(s1_csv),
+                 "--sensitive-col", "group"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                text=True,
+                encoding="utf-8",
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert re.fullmatch(log, proc.stderr)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+    def test_full_output_disk_is_a_data_error(self, s1_csv, capsys):
+        assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                       "--method", "pca", "--rank", "1", "--output", "/dev/full") == 2
+        err = capsys.readouterr().err
+        assert re.match(FIT_LOG, err)
+        assert err.endswith("\nfairdim: data error: [Errno 28] No space left on device\n")
+
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_console_script_returns_the_exit_code(s1_csv, monkeypatch, capsys):
@@ -780,10 +822,6 @@ class TestSharedWork:
         assert len(grams) == 3
 
 
-FIT_LOG = r"fit dataset=s1 method=(pca|ufpca|cfpca) r=([0-9]+) runtime_ms=([0-9]+)\n"
-SWEEP_LOG = r"sweep dataset=s1 max_rank=([0-9]+) runtime_ms=([0-9]+)\n"
-
-
 class TestTimingLog:
     """``fit`` and ``sweep`` each log one stderr line, timing everything
     between loading the table and writing the output."""
@@ -815,11 +853,14 @@ class TestTimingLog:
         monkeypatch.setattr(np.linalg, "eigh", slow)
 
     def test_fit_time_covers_prepare_and_solves(self, s1_csv, slow_eigh, capsys):
-        # a pca fit makes one solve, in prepare, before the cached plain fit
+        # a pca fit makes one solve, in prepare, before the cached plain fit;
+        # the span lies inside the command's own wall time (round is monotone)
+        start = time.perf_counter()
         assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
                        "--method", "pca", "--rank", "1") == 0
+        wall_ms = round((time.perf_counter() - start) * 1000.0)
         runtime_ms = re.fullmatch(FIT_LOG, capsys.readouterr().err).group(3)
-        assert int(runtime_ms) >= 50
+        assert 50 <= int(runtime_ms) <= wall_ms
 
     def test_sweep_time_covers_every_solve(self, s1_csv, slow_eigh, monkeypatch, capsys):
         calls = count_solves(monkeypatch)

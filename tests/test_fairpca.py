@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from fairdim.fairpca import (
     FairFitResult,
     _bisect,
+    _fairest,
     _Point,
     Search,
     prepare,
@@ -19,7 +20,7 @@ from fairdim.fairpca import (
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
-from fairdim.metrics import Moments, moment_metrics
+from fairdim.metrics import GroupMetrics, Moments, moment_metrics
 from fairdim.report import fit_record
 
 from conftest import (
@@ -234,11 +235,16 @@ class TestDisparityMonotone:
 class TestBisect:
     @staticmethod
     def bisect(threshold, tol, calls=None):
-        """Bisect [0, 1] on ``alpha > threshold``; the bracket's alphas."""
+        """Bisect [0, 1] on ``alpha > threshold``; the bracket's alphas.
+        A bisection of [0, 1] reaches adjacent floats within 1,074 halvings
+        (the longest is pinned below), so the stub fails a loop that has not
+        stopped by 1,100 evaluations instead of letting it run forever."""
+        calls = [] if calls is None else calls
 
         def evaluate(alpha):
-            if calls is not None:
-                calls.append(alpha)
+            calls.append(alpha)
+            if len(calls) > 1100:
+                pytest.fail("the bisection did not stop")
             return _Point(alpha, None, None)
 
         lo, hi, halvings = _bisect(
@@ -263,8 +269,31 @@ class TestBisect:
         assert lo <= 0.3 < hi
         assert halvings <= 64
 
+    def test_stops_when_the_midpoint_rounds_down(self):
+        # float(0.4) has an even significand, so the last midpoint rounds
+        # to the lower end (float(0.3)'s rounds to the upper one)
+        lo, hi, _ = self.bisect(0.4, 5e-324)
+        assert (lo, hi) == (0.4, np.nextafter(0.4, 1.0))
+        assert 0.5 * (lo + hi) == lo
+
+    def test_reaches_adjacent_floats_near_zero(self):
+        # the longest bisection of [0, 1]: every halving moves the upper end
+        calls = []
+        lo, hi, halvings = self.bisect(0.0, 5e-324, calls)
+        assert (lo, hi) == (0.0, 5e-324)
+        assert halvings == len(calls) - 2 == 1074
+
     def test_wide_tolerance_does_not_halve(self):
         assert self.bisect(0.3, 2.0) == (0.0, 1.0, 0)
+
+
+def test_fairest_breaks_a_tie_by_the_larger_alpha():
+    # equal |disparity| on either side of 0: the larger alpha gives up less
+    # overall error, whatever the order of the candidates
+    low = _Point(0.25, None, GroupMetrics(1.0, 1.0, 2.0, 1.0, 1.0))
+    high = _Point(0.75, None, GroupMetrics(1.0, 2.0, 1.0, -1.0, 1.0))
+    assert _fairest([low, high]) is high
+    assert _fairest([high, low]) is high
 
 
 class TestUFpca:
@@ -812,6 +841,26 @@ class TestNumericalRank:
                 assert json.dumps(got) == json.dumps(want)
             assert cf.budget == pca.metrics.err_b
 
+    def test_plain_pca_at_the_rank_above_round_off(self, monkeypatch):
+        # the rank, not the round-off rule, returns plain PCA here. A y
+        # spread of e in the 4-row group b gives C a y eigenvalue of e^2/51,
+        # a quarter of the rank floor 2*eps*lambda_1, while plain PCA's
+        # disparity e^2 (group b loses all of it, group a none) is ten
+        # times the round-off floor 2*eps*(tr_a + tr_b) = 10*eps.
+        # Every sum is exact, so C is diagonal and no solve rounds
+        e = 10.0 * math.sqrt(np.finfo(np.float64).eps)
+        rows = [[2.0, 0.0], [-2.0, 0.0]] * 100 + [[1.0, e], [1.0, -e], [-1.0, e], [-1.0, -e]]
+        p = prepare(make_table(rows, ["a"] * 200 + ["b"] * 4))
+        assert p.rank == 1
+        calls = count_solves(monkeypatch)
+        s = search(p, 1)
+        round_off = 2 * np.finfo(np.float64).eps * (s.moments.tr_a + s.moments.tr_b)
+        assert s.pca.metrics.disparity > 5.0 * round_off
+        for fit in (s.ufpca(), s.cfpca()):
+            assert (fit.alpha, fit.iterations) == (1.0, 0)
+            assert np.array_equal(fit.u, s.pca.u)
+        assert calls == []  # plain PCA's vectors come from prepare
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -887,47 +936,20 @@ class TestRoleAssignment:
 
 
 class TestFairFitResultValidation:
-    def test_constrained_requires_budget(self):
-        u = np.array([[1.0], [0.0]])
-        from fairdim.metrics import GroupMetrics
-
+    @staticmethod
+    def fit(u):
         m = GroupMetrics(1.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="budget"):
-            FairFitResult(
-                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
-                privileged="a", harmed="b",
-            )
-
-    def test_constrained_rejects_budget_violation(self):
-        u = np.array([[1.0], [0.0]])
-        from fairdim.metrics import GroupMetrics
-
-        m = GroupMetrics(1.0, 2.0, 1.0, -1.0, 1.0)
-        # a broken fit, so a numeric failure (exit 3), not a bad request
-        with pytest.raises(LinalgError, match="^constrained fit exceeds its error budget$"):
-            FairFitResult(
-                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
-                privileged="a", harmed="b", budget=1.0,
-            )
-
-    def test_constrained_rejects_violation_of_a_tiny_budget(self):
-        # no slack, so also a tiny budget binds: twice 1e-12 is a violation
-        u = np.array([[1.0], [0.0]])
-        from fairdim.metrics import GroupMetrics
-
-        m = GroupMetrics(1e-12, 2e-12, 1e-12, -1e-12, 1e-24)
-        with pytest.raises(LinalgError, match="^constrained fit exceeds its error budget$"):
-            FairFitResult(
-                method="cfpca", alpha=0.5, u=u, metrics=m, iterations=1,
-                privileged="a", harmed="b", budget=1e-12,
-            )
+        return FairFitResult(
+            method="pca", alpha=1.0, u=u, metrics=m, iterations=0,
+            privileged="a", harmed="b",
+        )
 
     def test_rejects_skewed_projection(self):
-        from fairdim.metrics import GroupMetrics
+        with pytest.raises(LinalgError, match="^fitted projection has non-orthonormal columns$"):
+            self.fit(np.ones((2, 1)))
 
-        m = GroupMetrics(1.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(LinalgError):
-            FairFitResult(
-                method="pca", alpha=1.0, u=np.ones((2, 1)), metrics=m, iterations=0,
-                privileged="a", harmed="b",
-            )
+    def test_orthonormality_tolerance_is_1e_9(self):
+        # the gram of [[1, t], [0, 1]] is off the identity by t (and t^2)
+        self.fit(np.array([[1.0, 0.5e-9], [0.0, 1.0]]))
+        with pytest.raises(LinalgError, match="non-orthonormal"):
+            self.fit(np.array([[1.0, 1.5e-9], [0.0, 1.0]]))
