@@ -19,11 +19,13 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 from .dataset import DataError, RawTable, balance, load_grouped, load_table  # noqa: E402
 from .linalg import LinalgError  # noqa: E402
-from .metrics import GroupMetrics, Moments, moment_metrics  # noqa: E402
 from .fairpca import (  # noqa: E402
     FairFitResult,
+    GroupMetrics,
+    Moments,
     Prepared,
     Search,
+    moment_metrics,
     prepare,
     search,
     weighted_covariance,

@@ -16,11 +16,10 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .dataset import DataError, load_grouped, write_table
+from .dataset import DEFAULT_SEED, DataError, load_grouped, s1_table, write_table
 from .fairpca import DEFAULT_TOL, METHODS, fit_one, prepare, search
 from .linalg import LinalgError
 from .report import fit_record, run_sweep, write_report_csv, write_report_jsonl
-from .synth import DEFAULT_SEED, s1_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,6 +133,11 @@ def _cmd_sweep(args) -> int:
         stem = args.output.name.removesuffix(".jsonl")
         outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
     table = _setup(args, outputs)
+    # the two files are named after --output, so it must not be a device,
+    # FIFO or socket: /dev/full would become /dev/full.jsonl and .csv
+    out = args.output
+    if out is not None and out.exists() and not (out.is_file() or out.is_dir()):
+        raise ValueError(f"output {out} is neither a regular file nor a directory")
     start = perf_counter()
     records = run_sweep(prepare(table), args.max_rank, args.tol, args.input.stem, args.balanced)
     _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)

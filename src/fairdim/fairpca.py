@@ -1,4 +1,5 @@
-"""Plain PCA, the group-weighted covariance, and the two trade-off fits.
+"""The measures of a projection, plain PCA, the group-weighted covariance,
+and the two trade-off fits.
 
 The blended objective ``alpha * overall_error + (1 - alpha) * disparity``
 is minimized, for a fixed alpha, by the top eigenvectors of
@@ -26,15 +27,25 @@ bisection starts with alpha = 1 as its upper end and only ever replaces
 that end by a point that meets the cap, so its answer always does too.
 
 Everything a fit needs from the data is its three d x d second moments
-and all d plain-PCA eigenpairs. ``prepare`` centers the table's rows,
-computes both once and keeps only them and the two group labels, so no
-step after it touches the n x d rows: ``weighted_covariance`` blends the
-moments, ``sym_eig_top_r`` projects, and ``metrics.moment_metrics``
-scores. ``prepare`` is also the one numeric gate: once the squared
-traces are finite, C and D are too, so every blend is finite and bitwise
-symmetric by construction, and the per-alpha eigensolve checks nothing.
-From the data's numerical rank on, plain PCA is exact and the fair fits
-return it.
+and all d plain-PCA eigenpairs. For orthonormal ``U`` the average squared
+residual of rows ``X_k`` is
+
+    ||X_k - X_k U U'||_F^2 / n_k = tr(C_k) - tr(U' C_k U),  C_k = X_k'X_k / n_k,
+
+so a ``Moments`` record of the three moments answers every measure in
+O(d^2 r), whatever the row count. Every measure depends on the projection
+only through the subspace it spans, so any orthonormal re-mixing of its
+columns leaves it unchanged. The measures take ``a`` to be the privileged
+group and ``b`` the harmed one; ``_plain`` assigns those roles, once per fit.
+
+``prepare`` centers the table's rows, computes the moments and the
+eigenpairs once and keeps only them and the two group labels, so no step
+after it touches the n x d rows: ``weighted_covariance`` blends the
+moments, ``sym_eig_top_r`` projects, and ``moment_metrics`` scores.
+``prepare`` is also the one numeric gate: once the squared traces are
+finite, C and D are too, so every blend is finite and bitwise symmetric
+by construction, and the per-alpha eigensolve checks nothing. From the
+data's numerical rank on, plain PCA is exact and the fair fits return it.
 
 ``search(p, r, tol)`` is the one way from a ``Prepared`` to a fit. It
 returns the ``Search`` record that the three fits at one rank share:
@@ -56,9 +67,11 @@ import numpy as np
 
 from .dataset import RawTable
 from .linalg import EigenPairs, LinalgError, scaled_gram, sym_eig_top_r
-from .metrics import GroupMetrics, Moments, moment_metrics
 
 __all__ = [
+    "GroupMetrics",
+    "Moments",
+    "moment_metrics",
     "METHODS",
     "FairFitResult",
     "Prepared",
@@ -75,6 +88,69 @@ METHOD_PCA = "pca"
 METHOD_UFPCA = "ufpca"
 METHOD_CFPCA = "cfpca"
 METHODS = (METHOD_PCA, METHOD_UFPCA, METHOD_CFPCA)
+
+
+@dataclass(frozen=True)
+class GroupMetrics:
+    """All per-fit measures, with group a = privileged, group b = harmed.
+    ``fairness`` is ``disparity`` squared and correctly rounded to float64,
+    so it is 0 or subnormal once ``|disparity|`` is below about 1.5e-154."""
+
+    overall_err: float
+    err_a: float
+    err_b: float
+    disparity: float
+    fairness: float
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Second moments of a centered dataset and of its two groups.
+
+    ``c`` is X'X/n, and ``c_a``/``c_b`` are the groups' X_k'X_k/n_k, each
+    with its trace. ``fairpca.prepare`` builds them with the first-seen
+    group (``RawTable.in_a``) as ``a``; plain PCA's fit swaps them once,
+    if at all, so that ``a`` is the privileged group for the whole fit.
+    """
+
+    c: np.ndarray
+    c_a: np.ndarray
+    c_b: np.ndarray
+    tr: float = field(init=False)
+    tr_a: float = field(init=False)
+    tr_b: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tr", float(np.trace(self.c)))
+        object.__setattr__(self, "tr_a", float(np.trace(self.c_a)))
+        object.__setattr__(self, "tr_b", float(np.trace(self.c_b)))
+
+    def swapped(self) -> "Moments":
+        """The same moments with the two groups' roles exchanged."""
+        return Moments(c=self.c, c_a=self.c_b, c_b=self.c_a)
+
+
+def _moment_err(c: np.ndarray, trace: float, u: np.ndarray) -> float:
+    # tr(C) - tr(U'CU), clamping round-off negatives at full rank
+    return max(trace - float(np.sum((c @ u) * u)), 0.0)
+
+
+def moment_metrics(m: Moments, u: np.ndarray) -> GroupMetrics:
+    """Every measure for an orthonormal ``u`` (as produced by the
+    eigensolver, so not re-validated). ``err_a`` is the error of ``m``'s
+    group ``a``, which the fits order privileged-first; ``disparity`` is
+    ``err_b - err_a`` (negative when the roles invert under ``u``) and
+    ``fairness`` its square."""
+    err_a = _moment_err(m.c_a, m.tr_a, u)
+    err_b = _moment_err(m.c_b, m.tr_b, u)
+    gap = err_b - err_a
+    return GroupMetrics(
+        overall_err=_moment_err(m.c, m.tr, u),
+        err_a=err_a,
+        err_b=err_b,
+        disparity=gap,
+        fairness=gap * gap,
+    )
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ import csv
 import json
 from dataclasses import asdict, fields
 
-from .fairpca import METHODS, FairFitResult, Prepared, fit_one, search
-from .metrics import GroupMetrics
+from .fairpca import METHODS, FairFitResult, GroupMetrics, Prepared, fit_one, search
 
 __all__ = [
     "ROW_FIELDS",

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdim.dataset import RawTable, write_table
+from fairdim.dataset import RawTable, s1_table, write_table
 from fairdim.linalg import LinalgError
-from fairdim.synth import s1_table
 
 _PROJ_ORTHO_TOL = 1e-6
 
@@ -28,7 +27,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def avg_reconstruction_error_direct(x, u) -> float:
     """Average squared residual of projecting the rows of ``x`` onto
     span(u), via the explicit residual: the slow reference that the
-    library's moment form (``metrics.moment_metrics``) is held to."""
+    library's moment form (``fairpca.moment_metrics``) is held to."""
     x = as_matrix(x, "x")
     u = as_matrix(u, "u")
     if x.shape[1] != u.shape[0]:

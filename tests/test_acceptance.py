@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from fairdim import cli
-from fairdim.dataset import balance, load_grouped, load_table
+from fairdim.dataset import balance, load_grouped, load_table, s1_table
 from fairdim.fairpca import prepare, search, weighted_covariance
 from fairdim.linalg import scaled_gram, sym_eig_top_r
-from fairdim.synth import s1_table
 
 from conftest import (
     avg_reconstruction_error_direct,

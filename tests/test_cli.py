@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from fairdim import cli, dataset, fairpca, report
-from fairdim.dataset import DataError, balance, load_grouped, load_table, write_table
+from fairdim.dataset import (
+    DataError, balance, load_grouped, load_table, s1_table, write_table,
+)
 from fairdim.fairpca import DEFAULT_TOL, prepare, search
 from fairdim.linalg import LinalgError
 from fairdim.report import METHODS, fit_record, run_sweep
-from fairdim.synth import s1_table
 
 from conftest import centered, count_solves, load_report
 
@@ -234,6 +235,17 @@ class TestSweep:
         ]
         assert all(row["dataset_id"] == "s1" for row in load_report(out))
 
+    def test_directory_output_names_the_files_beside_it(self, s1_csv, tmp_path):
+        (tmp_path / "results").mkdir()
+        assert run_cli(
+            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+            "--max-rank", "1", "--output", str(tmp_path / "results"),
+        ) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results", "results.csv", "results.jsonl", "s1.csv",
+        ]
+        assert not any((tmp_path / "results").iterdir())
+
     def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
         rng = np.random.default_rng(23)
         path = toy_csv(rng.standard_normal((9, 2)), ["a"] * 6 + ["b"] * 3,
@@ -423,6 +435,25 @@ def test_sweep_output_naming_no_file_refused(output, s1_csv, tmp_path, monkeypat
     assert capsys.readouterr().err.startswith(f"fairdim: data error: cannot open {missing}: ")
     assert run_cli(*argv, "--input", str(s1_csv)) == 1
     assert capsys.readouterr() == ("", f"fairdim: error: output {output or '.'} is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_sweep_output_that_is_no_file_refused(s1_csv, tmp_path, capsys):
+    # a sweep writes <name>.jsonl and <name>.csv beside --output, so a
+    # device, FIFO or socket there would become regular files next to it:
+    # exit 1 after the load, before any fit, nothing written
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["sweep", "--sensitive-col", "group", "--max-rank", "1", "--output", str(fifo)]
+    missing = tmp_path / "missing.csv"
+    assert run_cli(*argv, "--input", str(missing)) == 2
+    assert capsys.readouterr().err.startswith(f"fairdim: data error: cannot open {missing}: ")
+    assert run_cli(*argv, "--input", str(s1_csv)) == 1
+    assert capsys.readouterr() == (
+        "", f"fairdim: error: output {fifo} is neither a regular file nor a directory\n"
+    )
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -665,6 +696,21 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == 141
         assert re.fullmatch(log, proc.stderr)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="counts the entries of /dev/fd")
+    def test_closed_stdout_leaves_no_descriptor_open(self, s1_csv, monkeypatch):
+        # main points stdout's descriptor at os.devnull through a descriptor
+        # of its own, which it must close again: in a process that goes on
+        # running, an open one would leak
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                before = len(os.listdir("/dev/fd"))
+                assert run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
+                               "--method", "pca", "--rank", "1") == 141
+                assert len(os.listdir("/dev/fd")) == before
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
     def test_full_output_disk_is_a_data_error(self, s1_csv, capsys):

@@ -15,9 +15,8 @@ from fairdim.dataset import (
     load_table,
     write_table,
 )
-from fairdim.fairpca import prepare
+from fairdim.fairpca import Moments, prepare
 from fairdim.linalg import scaled_gram
-from fairdim.metrics import Moments
 
 from conftest import centered, make_table, row_labels
 
@@ -117,6 +116,12 @@ class TestLoadTable:
         assert np.array_equal(back.features, table.features)
         assert back.in_a.tolist() == table.in_a.tolist()
         assert (back.label_a, back.label_b) == (table.label_a, table.label_b)
+
+    def test_write_table_takes_a_str_path(self, tmp_path):
+        table = make_table([[1.5, -2.0], [0.25, 3.0]], ["a", "b"])
+        write_table(table, tmp_path / "path.csv")
+        write_table(table, str(tmp_path / "str.csv"))
+        assert (tmp_path / "str.csv").read_bytes() == (tmp_path / "path.csv").read_bytes()
 
 
 # One row per input shape: the file text, then either the features and

@@ -11,16 +11,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairdim.fairpca import (
     FairFitResult,
+    GroupMetrics,
+    Moments,
     _bisect,
     _fairest,
     _Point,
     Search,
+    moment_metrics,
     prepare,
     search,
     weighted_covariance,
 )
 from fairdim.linalg import LinalgError, scaled_gram, sym_eig_top_r
-from fairdim.metrics import GroupMetrics, Moments, moment_metrics
 from fairdim.report import fit_record
 
 from conftest import (
@@ -159,6 +161,15 @@ class TestWeightedCovariance:
         for alpha in (0.0, 0.25, 0.6):
             c = weighted_covariance(moments(g), alpha)
             assert np.array_equal(c, c.T)
+
+    def test_float32_alpha_blends_in_float64(self):
+        # under numpy 2's promotion rules (NEP 50), 1.0 - np.float32(a)
+        # stays float32, so without the cast to float the (1 - alpha) weight
+        # rounds to single precision. numpy 1.24's legacy promotion gives
+        # float64 either way, so there this passes with or without the cast
+        a = np.nextafter(np.float32(0.3), np.float32(1))
+        m = moments(random_grouped(np.random.default_rng(14), 30, 20, 4))
+        assert weighted_covariance(m, a).tobytes() == weighted_covariance(m, float(a)).tobytes()
 
 
 class TestFairProjection:

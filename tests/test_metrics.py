@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fairdim.linalg import LinalgError, scaled_gram
-from fairdim.metrics import Moments, moment_metrics
-from fairdim.fairpca import prepare, search
+from fairdim.fairpca import Moments, moment_metrics, prepare, search
 from fairdim.report import run_sweep
 
 from conftest import (
