@@ -127,7 +127,7 @@ def load_table(path, sensitive_column: str) -> RawTable:
 
 
 def _columns(path: Path, header: list[str], sensitive_column: str):
-    """The sensitive column's index and the feature names, or a DataError."""
+    """The sensitive column's index, and the feature columns' indices and names."""
     try:
         sens_idx = header.index(sensitive_column)
     except ValueError:
@@ -139,10 +139,10 @@ def _columns(path: Path, header: list[str], sensitive_column: str):
             f"{path}: ambiguous header, sensitive column {sensitive_column!r} "
             "appears more than once"
         )
-    feature_names = tuple(h for i, h in enumerate(header) if i != sens_idx)
-    if not feature_names:
+    feature_cols = [i for i in range(len(header)) if i != sens_idx]
+    if not feature_cols:
         raise DataError(f"{path}: no feature columns besides {sensitive_column!r}")
-    return sens_idx, feature_names
+    return sens_idx, feature_cols, tuple(header[i] for i in feature_cols)
 
 
 def _table(
@@ -194,7 +194,7 @@ def _load_plain(path: Path, lines: list[str], sensitive_column: str) -> RawTable
     if len(lines) < 2 or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
         return None
     header, body = lines[0].split(","), lines[1:]
-    sens_idx, feature_names = _columns(path, header, sensitive_column)
+    sens_idx, feature_cols, feature_names = _columns(path, header, sensitive_column)
     commas = len(header) - 1
     if any(line.count(",") != commas for line in body):
         return None
@@ -202,7 +202,7 @@ def _load_plain(path: Path, lines: list[str], sensitive_column: str) -> RawTable
         features = np.loadtxt(
             body,
             delimiter=",",
-            usecols=[i for i in range(len(header)) if i != sens_idx],
+            usecols=feature_cols,
             comments=None,
             quotechar=None,
             dtype=np.float64,
@@ -229,7 +229,7 @@ def _load_cells(path: Path, lines, sensitive_column: str) -> RawTable:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
-        sens_idx, feature_names = _columns(path, header, sensitive_column)
+        sens_idx, feature_cols, feature_names = _columns(path, header, sensitive_column)
 
         rows: list[list[float]] = []
         labels: list[str] = []
@@ -238,9 +238,8 @@ def _load_cells(path: Path, lines, sensitive_column: str) -> RawTable:
                 raise csv.Error(f"expected {len(header)} fields, got {len(record)}")
             labels.append(record[sens_idx])
             parsed = []
-            for i, cell in enumerate(record):
-                if i == sens_idx:
-                    continue
+            for i in feature_cols:
+                cell = record[i]
                 try:
                     value = float(cell)
                 except ValueError:

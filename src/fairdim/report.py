@@ -3,11 +3,11 @@
 A sweep fits every method in ``fairpca.METHODS`` at every rank from 1 to
 a maximum and returns the records it writes, one per (rank, method) cell.
 A record is ``dataset_id`` and ``balanced``, then ``r``, ``method`` and
-``alpha``, then the ``GroupMetrics`` measures in their declared order, so
-``ROW_FIELDS`` is the only list of the keys after the first two. The
-records are written both as line-delimited JSON (one compact record per
-line, the writer a fit's one ``fit_record`` goes through too) and as a
-CSV table with the same field order. The package writes reports and
+``alpha``, then the ``GroupMetrics`` measures in their declared order.
+``run_sweep``'s dict is the only statement of that layout: the records
+are written both as line-delimited JSON (one compact record per line,
+the writer a fit's one ``fit_record`` goes through too) and as a CSV
+table headed by the first record's keys. The package writes reports and
 reads none: each figure series, overall error, fairness or the two
 groups' errors against rank, is a column subset of the CSV.
 Nothing here reads a clock, so repeated runs on the same input write
@@ -23,19 +23,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
-from .fairpca import METHODS, FairFitResult, GroupMetrics, Prepared, fit_one, search
+from .fairpca import METHODS, FairFitResult, Prepared, fit_one, search
 
 __all__ = [
-    "ROW_FIELDS",
     "run_sweep",
     "fit_record",
     "write_report_jsonl",
     "write_report_csv",
 ]
-
-ROW_FIELDS = ("r", "method", "alpha", *(f.name for f in fields(GroupMetrics)))
 
 
 def run_sweep(
@@ -87,7 +84,8 @@ def write_report_jsonl(records, fh) -> None:
 
 
 def write_report_csv(records, fh) -> None:
-    """CSV table of the records; a field is quoted only when it has to be."""
+    """CSV table of the records, headed by the first one's keys (no records
+    write an empty file); a field is quoted only when it has to be."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("dataset_id", "balanced", *ROW_FIELDS))
+    writer.writerows(record.keys() for record in records[:1])
     writer.writerows(record.values() for record in records)

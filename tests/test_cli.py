@@ -501,7 +501,6 @@ class TestReportContract:
             reader = csv.DictReader(fh)
             rows = list(reader)
         assert tuple(reader.fieldnames) == self.SWEEP_KEYS
-        assert ("dataset_id", "balanced", *report.ROW_FIELDS) == self.SWEEP_KEYS
         # the figure series are read from the CSV: each of their cells is
         # the text of the JSONL record's value, in (rank, method) order
         assert [(row["r"], row["method"]) for row in rows] == [

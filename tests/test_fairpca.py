@@ -800,6 +800,45 @@ class TestHostileInputs:
                 if not lo < a < cf.alpha and x.err_a <= budget and x.err_b <= budget:
                     assert abs(x.disparity) >= fairest - slack, (s.pca.u.shape[1], a)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from([*HOSTILE_FAMILIES, "scaled_group"]),
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 12),
+        n_b=st.integers(1, 8),
+        d=st.integers(1, 6),
+    )
+    # ufpca and cfpca both land below alpha0 here, at ranks 1 and 2
+    @example(family="scaled_group", seed=7, n_a=8, n_b=5, d=3)
+    def test_a_fit_below_alpha0_levels_down(self, family, seed, n_a, n_b, d):
+        # with a privileged, C = (n_a*C_a + n_b*C_b)/n makes the blend
+        # w_a*C_a + w_b*C_b with w_a >= 0 exactly when alpha >= alpha0 =
+        # n/(n + n_a). At alpha0 it is a multiple of C_b, so U(alpha0) is the
+        # harmed group's own PCA and has the least err_b; err_a never rises
+        # with alpha. So a fit below alpha0 levels down: U(alpha0) gives
+        # neither group a higher error, up to round-off
+        rng = np.random.default_rng(seed)
+        if family == "scaled_group":
+            g = random_grouped(rng, n_a, n_b, d)
+            x = g.features.copy()
+            x[g.in_a] *= rng.uniform(0.2, 1.0)
+            g = make_table(x, row_labels(g))
+        else:
+            g = hostile_draw(family, rng, n_a, n_b, d)
+        p = prepare(g)
+        n, n_first = g.in_a.size, int(np.count_nonzero(g.in_a))
+        for r in range(1, len(p.eig.values) + 1):
+            s = search(p, r)
+            n_priv = n_first if s.pca.privileged == p.labels[0] else n - n_first
+            alpha0 = n / (n + n_priv)
+            m = s.moments
+            slack = 1e-12 * (m.tr_a + m.tr_b)
+            level = moment_metrics(m, fair_projection(m, alpha0, r))
+            for fit in (s.ufpca(), s.cfpca()):
+                if fit.alpha < alpha0:
+                    assert level.err_a <= fit.metrics.err_a + slack, (r, fit.method)
+                    assert level.err_b <= fit.metrics.err_b + slack, (r, fit.method)
+
     def test_identical_covariances_get_plain_pca(self, monkeypatch):
         # every disparity is round-off, which used to start a search that
         # left plain PCA for a fit with several times its overall error
