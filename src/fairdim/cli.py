@@ -8,8 +8,6 @@ Timings go to stderr, one line per command, so every report artifact stays
 byte-reproducible.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -32,8 +32,6 @@ with the worse reconstruction, which is exactly the situation the fitting
 algorithms are meant to repair.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math

@@ -58,9 +58,8 @@ every cell of a sweep. A sweep shares one ``Prepared`` plus one ``Search``
 per rank. A ``Search`` belongs to one thread: it fills ``.points`` unlocked.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,22 +107,17 @@ class Moments:
     """Second moments of a centered dataset and of its two groups.
 
     ``c`` is X'X/n, and ``c_a``/``c_b`` are the groups' X_k'X_k/n_k, each
-    with its trace. ``fairpca.prepare`` builds them with the first-seen
-    group (``RawTable.in_a``) as ``a``; plain PCA's fit swaps them once,
-    if at all, so that ``a`` is the privileged group for the whole fit.
+    with its trace, computed on first read. ``prepare`` builds them with the
+    first-seen group (``RawTable.in_a``) as ``a``; plain PCA's fit swaps them
+    once, if at all, so that ``a`` is the privileged group for the whole fit.
     """
 
     c: np.ndarray
     c_a: np.ndarray
     c_b: np.ndarray
-    tr: float = field(init=False)
-    tr_a: float = field(init=False)
-    tr_b: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tr", float(np.trace(self.c)))
-        object.__setattr__(self, "tr_a", float(np.trace(self.c_a)))
-        object.__setattr__(self, "tr_b", float(np.trace(self.c_b)))
+    tr = cached_property(lambda self: float(np.trace(self.c)))
+    tr_a = cached_property(lambda self: float(np.trace(self.c_a)))
+    tr_b = cached_property(lambda self: float(np.trace(self.c_b)))
 
     def swapped(self) -> "Moments":
         """The same moments with the two groups' roles exchanged."""

@@ -10,8 +10,6 @@ returning unconverged pairs. All functions are pure and deterministic:
 identical input bytes give identical output bytes.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

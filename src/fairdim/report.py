@@ -19,8 +19,6 @@ or an eigensolve may round differently at another thread count (on a
 1 and 2 OpenBLAS threads, near the round-off floor).
 """
 
-from __future__ import annotations
-
 import csv
 import json
 from dataclasses import asdict

@@ -770,6 +770,18 @@ class TestNotPositive:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_help_describes_the_program(capsys):
+    # the description is the first line of cli's module docstring; argparse
+    # may wrap it at the terminal width, so compare with whitespace collapsed
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("--help")
+    assert exit_info.value.code == 0
+    paragraphs = [" ".join(p.split()) for p in capsys.readouterr().out.split("\n\n")]
+    assert paragraphs[1] == (
+        "Command-line front end: generate synthetic data, fit one method, sweep ranks."
+    )
+
+
 @pytest.mark.parametrize("command", ["fit", "sweep"])
 def test_help_lists_the_shared_flags(command, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -13,6 +13,7 @@ from fairdim.dataset import (
     balance,
     load_grouped,
     load_table,
+    s1_table,
     write_table,
 )
 from fairdim.fairpca import Moments, prepare
@@ -521,3 +522,31 @@ class TestLoadGrouped:
         table = load_grouped(path, "group")
         assert table.in_a.tolist() == [True, True, False]
         assert table.features[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_demo_table_geometry():
+    """``s1_table()`` at its default seed, against values taken when it was
+    written: the seed, each cloud's angle and axis scales, and the rotation
+    all move them. A tolerance, not bytes, so a libm that rounds cos or sin
+    differently in the last bit still passes."""
+    t = s1_table()
+    assert t.in_a.tolist() == [True] * 600 + [False] * 300
+    assert (t.label_a, t.label_b) == ("a", "b")
+    assert (t.feature_names, t.sensitive_name) == (("x1", "x2"), "group")
+    rows = {
+        0: [0.9905589002778266, -0.35335150860751896],
+        599: [4.478962889275634, 0.2524586320337612],
+        600: [-0.45006704350011184, -1.947317308592928],
+        899: [-0.08093024086596035, -0.8699944508168125],
+    }
+    for i, row in rows.items():
+        np.testing.assert_allclose(t.features[i], row, rtol=1e-12, err_msg=f"row {i}")
+    # per group: the column sums, then the column sums of squares
+    sums = {
+        True: ([-46.197184688272394, -13.595286897259605], [5056.223537956993, 345.9966152100079]),
+        False: ([-11.049756763612216, -50.4925850551313], [170.57666970920891, 642.7046966183256]),
+    }
+    for flag, (total, squares) in sums.items():
+        g = t.features[t.in_a == flag]
+        np.testing.assert_allclose(g.sum(axis=0), total, rtol=1e-12)
+        np.testing.assert_allclose((g * g).sum(axis=0), squares, rtol=1e-12)

@@ -1,9 +1,13 @@
-"""The package's names: the top-level names ``fairdim`` re-exports, and
-that every name a module lists in ``__all__`` serves another module."""
+"""The package's names: the top-level names ``fairdim`` re-exports, that
+every name a module lists in ``__all__`` serves another module, and the
+version that ``pyproject.toml`` reads from the package."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 import fairdim
 
@@ -52,3 +56,18 @@ def test_every_export_is_imported_by_another_module():
                 imported |= {(node.module, alias.name) for alias in node.names}
     assert {"dataset", "fairpca", "linalg", "report"} <= {module for module, _ in exported}
     assert sorted(exported - imported) == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_version_is_read_from_the_package():
+    # pyproject.toml states no version of its own: setuptools reads the
+    # package attribute it names, so the version is written in one place
+    import tomllib
+
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    module, _, name = config["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    version = getattr(importlib.import_module(module), name)
+    assert isinstance(version, str) and version
