@@ -1,9 +1,10 @@
 """Command-line front end: generate synthetic data, fit one method, sweep ranks.
 
-``fit`` and ``sweep`` write JSONL to stdout or ``--output`` (a sweep adds a
-CSV). The exception class sets the exit code: 0 success, 1 ``ValueError``
-(bad flags or requests), 2 ``DataError`` or ``OSError``, 3 ``LinalgError``,
-and 141 (128 + SIGPIPE), with no message, when the reader of stdout has gone.
+``fit`` and ``sweep`` write JSONL to stdout or ``--output``, and a sweep's
+``--output NAME.jsonl`` gets its CSV beside it as ``NAME.csv``. The exception
+class sets the exit code: 0 success, 1 ``ValueError`` (bad flags or requests),
+2 ``DataError`` or ``OSError``, 3 ``LinalgError``, and 141 (128 + SIGPIPE),
+with no message, when the reader of stdout has gone.
 Timings go to stderr, one line per command, so every report artifact stays
 byte-reproducible.
 """
@@ -59,7 +60,9 @@ def _build_parser() -> _Parser:
     shared.add_argument("--tol", type=_above(0, float), default=DEFAULT_TOL,
                         help=f"width of the final alpha bracket (default {DEFAULT_TOL:g})")
     shared.add_argument("--balanced", action="store_true")
-    shared.add_argument("--output", type=Path)
+    shared.add_argument("--output", type=Path,
+                        help="the JSONL output (default stdout); a sweep's must end in"
+                        " .jsonl, and its CSV goes beside it")
 
     fit = sub.add_parser("fit", parents=[shared], help="fit one method at one rank")
     fit.add_argument("--method", required=True, choices=METHODS)
@@ -124,18 +127,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    outputs = () if args.output is None else (args.output,)
-    # ".", "/" and ".." name no file: ``_check_output`` refuses them as given
-    if args.output is not None and args.output.name not in ("", ".."):
-        # strip only a final .jsonl: report.v2.jsonl keeps its .v2
+    outputs = ()
+    if args.output is not None:
+        # the name, not Path.suffix: Path(".jsonl").suffix is ""
         stem = args.output.name.removesuffix(".jsonl")
-        outputs = tuple(args.output.with_name(stem + ext) for ext in (".jsonl", ".csv"))
+        if stem == args.output.name:
+            raise ValueError(f"output {args.output} does not end in .jsonl")
+        outputs = (args.output, args.output.with_name(stem + ".csv"))
     table = _setup(args, outputs)
-    # the two files are named after --output, so it must not be a device,
-    # FIFO or socket: /dev/full would become /dev/full.jsonl and .csv
-    out = args.output
-    if out is not None and out.exists() and not (out.is_file() or out.is_dir()):
-        raise ValueError(f"output {out} is neither a regular file nor a directory")
     start = perf_counter()
     records = run_sweep(prepare(table), args.max_rank, args.tol, args.input.stem, args.balanced)
     _log(f"sweep dataset={args.input.stem} max_rank={args.max_rank}", start)

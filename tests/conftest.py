@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-from __future__ import annotations
-
 import json
 from pathlib import Path
 

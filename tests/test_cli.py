@@ -225,26 +225,17 @@ class TestSweep:
         assert load_report(out) == expected
 
     def test_dotted_output_name_keeps_its_dots(self, s1_csv, tmp_path):
-        out = tmp_path / "report.v2.jsonl"
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "1", "--output", str(out),
-        ) == 0
+        # only the final .jsonl gives way to .csv, also in a name that is
+        # nothing else, whose Path.suffix is ""
+        for name in ("report.v2.jsonl", ".jsonl"):
+            assert run_cli(
+                "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
+                "--max-rank", "1", "--output", str(tmp_path / name),
+            ) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "report.v2.csv", "report.v2.jsonl", "s1.csv",
+            ".csv", ".jsonl", "report.v2.csv", "report.v2.jsonl", "s1.csv",
         ]
-        assert all(row["dataset_id"] == "s1" for row in load_report(out))
-
-    def test_directory_output_names_the_files_beside_it(self, s1_csv, tmp_path):
-        (tmp_path / "results").mkdir()
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "1", "--output", str(tmp_path / "results"),
-        ) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "results", "results.csv", "results.jsonl", "s1.csv",
-        ]
-        assert not any((tmp_path / "results").iterdir())
+        assert all(row["dataset_id"] == "s1" for row in load_report(tmp_path / ".jsonl"))
 
     def test_csv_report_quotes_dataset_id(self, toy_csv, tmp_path):
         rng = np.random.default_rng(23)
@@ -420,41 +411,51 @@ def test_unwritable_output_refused_before_the_fit(command, output, message, s1_c
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("output", ["", ".", "..", "/", "{tmp}/sub/.."])
-def test_sweep_output_naming_no_file_refused(output, s1_csv, tmp_path, monkeypatch, capsys):
-    # a sweep names its two files after --output's last component; ".",
-    # "/" and ".." have none, so like fit it refuses them as directories,
-    # after the load: exit 1, no timing line, nothing written
-    (tmp_path / "sub").mkdir()
+@pytest.mark.parametrize("output", [
+    "", ".", "..", "/", "{tmp}/sub/..", "results", "report", "report.csv", "/dev/null",
+])
+def test_sweep_output_must_end_in_jsonl(output, s1_csv, tmp_path, monkeypatch, capsys):
+    # a sweep's --output is its JSONL file, so it must end in .jsonl: a flag
+    # check before the load, so exit 1 also when --input is missing, with
+    # no timing line and nothing written
+    (tmp_path / "sub" / "results").mkdir(parents=True)
     monkeypatch.chdir(tmp_path / "sub")
     before = sorted(tmp_path.rglob("*"))
     output = output.format(tmp=tmp_path)
     argv = ["sweep", "--sensitive-col", "group", "--max-rank", "1", "--output", output]
-    missing = tmp_path / "missing.csv"
-    assert run_cli(*argv, "--input", str(missing)) == 2
-    assert capsys.readouterr().err.startswith(f"fairdim: data error: cannot open {missing}: ")
-    assert run_cli(*argv, "--input", str(s1_csv)) == 1
-    assert capsys.readouterr() == ("", f"fairdim: error: output {output or '.'} is a directory\n")
+    for source in (s1_csv, tmp_path / "missing.csv"):
+        assert run_cli(*argv, "--input", str(source)) == 1
+        assert capsys.readouterr() == (
+            "", f"fairdim: error: output {output or '.'} does not end in .jsonl\n"
+        )
     assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-def test_sweep_output_that_is_no_file_refused(s1_csv, tmp_path, capsys):
-    # a sweep writes <name>.jsonl and <name>.csv beside --output, so a
-    # device, FIFO or socket there would become regular files next to it:
-    # exit 1 after the load, before any fit, nothing written
-    fifo = tmp_path / "fifo"
+def test_sweep_output_fifo_is_written_as_given(s1_csv, tmp_path, capsys):
+    # a FIFO named NAME.jsonl gets the JSONL, as fit's --output would, and
+    # NAME.csv beside it is a regular file. The read end is opened without
+    # blocking before the run, so a refusal cannot hang the test; the report
+    # is far below the pipe buffer, so the writer never waits for a read.
+    argv = ["sweep", "--input", str(s1_csv), "--sensitive-col", "group", "--max-rank", "2"]
+    assert run_cli(*argv) == 0
+    stdout = capsys.readouterr().out
+    (tmp_path / "plain").mkdir()
+    assert run_cli(*argv, "--output", str(tmp_path / "plain" / "report.jsonl")) == 0
+    fifo = tmp_path / "live.jsonl"
     os.mkfifo(fifo)
-    before = sorted(tmp_path.rglob("*"))
-    argv = ["sweep", "--sensitive-col", "group", "--max-rank", "1", "--output", str(fifo)]
-    missing = tmp_path / "missing.csv"
-    assert run_cli(*argv, "--input", str(missing)) == 2
-    assert capsys.readouterr().err.startswith(f"fairdim: data error: cannot open {missing}: ")
-    assert run_cli(*argv, "--input", str(s1_csv)) == 1
-    assert capsys.readouterr() == (
-        "", f"fairdim: error: output {fifo} is neither a regular file nor a directory\n"
-    )
-    assert sorted(tmp_path.rglob("*")) == before
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(*argv, "--output", str(fifo)) == 0
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    assert b"".join(chunks).decode("utf-8") == stdout
+    live_csv = tmp_path / "live.csv"
+    assert live_csv.is_file()
+    assert live_csv.read_bytes() == (tmp_path / "plain" / "report.csv").read_bytes()
 
 
 def test_every_raise_maps_to_an_exit_code():
@@ -790,6 +791,9 @@ def test_help_lists_the_shared_flags(command, capsys):
     out = capsys.readouterr().out
     for flag in ("--input", "--sensitive-col", "--tol", "--balanced", "--output"):
         assert re.search(f"^  {flag}( |$)", out, re.M), flag
+    # the one rule for a sweep's --output, in the help of every command
+    output_help = re.search(r"^  --output OUTPUT\s(.*?)(?=^  -|\Z)", out, re.M | re.S)
+    assert ".jsonl" in output_help[1]
 
 
 class TestSharedWork:
