@@ -12,22 +12,12 @@ from fairdim.linalg import LinalgError
 _PROJ_ORTHO_TOL = 1e-6
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise LinalgError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise LinalgError(f"{name} contains non-finite entries")
-    return arr
-
-
 def avg_reconstruction_error_direct(x, u) -> float:
     """Average squared residual of projecting the rows of ``x`` onto
     span(u), via the explicit residual: the slow reference that the
     library's moment form (``fairpca.moment_metrics``) is held to."""
-    x = as_matrix(x, "x")
-    u = as_matrix(u, "u")
+    x = np.asarray(x, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     if x.shape[1] != u.shape[0]:
         raise LinalgError(
             f"projection rows ({u.shape[0]}) must match data width ({x.shape[1]})"
@@ -100,6 +90,25 @@ def same_rows_twice(rng, n, d):
     their covariances are equal, and every disparity is round-off."""
     x = rng.standard_normal((n, d)) * np.linspace(1.0, 3.0, d) + 5.0
     return make_table(np.vstack([x, x[rng.permutation(n)]]), ["a"] * n + ["b"] * n)
+
+
+def scaled_groups(k: float, seed: int = 1) -> RawTable:
+    """``perfbench/gen.py``'s table at 2,000 x 11, written again here, with
+    the smaller group's rows times ``k``. Both groups (1,640 rows "g0", 360
+    "g1") share the spectrum 1/j^0.8, each in its own random orthonormal
+    basis, and the rows are shuffled."""
+    n_a, n_b, d = 1640, 360, 11
+    rng = np.random.default_rng([seed, n_a + n_b, d])
+    scale = np.arange(1, d + 1, dtype=np.float64) ** -0.4
+    blocks = []
+    for count in (n_a, n_b):
+        z = rng.standard_normal((count, d)) * scale
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        blocks.append(z @ (q * np.sign(np.diag(r))).T)
+    is_b = np.arange(n_a + n_b) >= n_a
+    order = rng.permutation(n_a + n_b)
+    x = np.vstack([blocks[0], k * blocks[1]])
+    return make_table(x[order], [("g0", "g1")[b] for b in is_b[order].tolist()])
 
 
 def with_subnormal_column(rng, x):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdim import cli, dataset, fairpca, report
+from fairdim import cli, dataset, fairpca
 from fairdim.dataset import (
     DataError, balance, load_grouped, load_table, s1_table, write_table,
 )
@@ -57,19 +57,12 @@ def s1_csv(tmp_path):
 
 
 class TestGen:
-    def test_deterministic_bytes(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run_cli("gen", "--out", str(a)) == 0
-        assert run_cli("gen", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_seed_changes_content(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run_cli("gen", "--out", str(a))
-        run_cli("gen", "--out", str(b), "--seed", "7")
-        assert a.read_bytes() != b.read_bytes()
+    def test_seed_sets_the_bytes(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.csv", "b.csv", "seed7.csv")]
+        for path, extra in zip(paths, ([], [], ["--seed", "7"])):
+            assert run_cli("gen", "--out", str(path), *extra) == 0
+        a, b, seed7 = (path.read_bytes() for path in paths)
+        assert a == b != seed7
 
     def test_negative_seed_refused_at_parse(self, tmp_path, capsys):
         out = tmp_path / "neg.csv"
@@ -94,65 +87,8 @@ class TestGen:
         assert capsys.readouterr().err == f"fairdim: error: {message.format(tmp=tmp_path)}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_group_sizes(self, s1_csv):
-        table = load_table(s1_csv, "group")
-        assert (table.label_a, table.label_b) == ("a", "b")
-        assert np.count_nonzero(table.in_a) == 600
-        assert np.count_nonzero(~table.in_a) == 300
-
 
 class TestFit:
-    def test_pca_record(self, s1_csv, capsys):
-        assert run_cli(
-            "fit", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--method", "pca", "--rank", "2",
-        ) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["method"] == "pca"
-        assert record["alpha"] == 1.0
-        assert record["rank"] == 2
-        assert len(record["projection"]) == 2
-
-    def test_cfpca_record_respects_budget(self, s1_csv, capsys):
-        assert run_cli(
-            "fit", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--method", "cfpca", "--rank", "1",
-        ) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["budget"] is not None
-        assert record["err_a"] <= record["budget"] + 1e-9
-        assert record["err_b"] <= record["budget"] + 1e-9
-
-    def test_ufpca_beats_pca_fairness(self, s1_csv, capsys):
-        run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--method", "pca", "--rank", "1")
-        pca = json.loads(capsys.readouterr().out)
-        run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--method", "ufpca", "--rank", "1")
-        ufpca = json.loads(capsys.readouterr().out)
-        assert ufpca["fairness"] <= pca["fairness"]
-
-    def test_output_file(self, s1_csv, tmp_path, capsys):
-        out = tmp_path / "fit.json"
-        for method in METHODS:
-            assert run_cli(
-                "fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--method", method, "--rank", "1", "--output", str(out),
-            ) == 0
-            assert capsys.readouterr().out == ""
-            assert json.loads(out.read_text(encoding="utf-8"))["method"] == method
-
-    def test_timing_goes_to_stderr_only(self, s1_csv, capsys):
-        run_cli("fit", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--method", "pca", "--rank", "1")
-        captured = capsys.readouterr()
-        assert "runtime_ms" in captured.err
-        assert "runtime_ms" not in captured.out
-
-    def test_fit_one_refuses_unknown_method(self, s1_grouped):
-        with pytest.raises(ValueError, match="unknown method"):
-            report.fit_one(search(prepare(s1_grouped), 1), "lda")
-
     def test_balanced_fit_matches_library(self, toy_csv, tmp_path):
         # the file `fit --output` writes is the library's record, byte for
         # byte, for every method with and without --balanced
@@ -173,49 +109,6 @@ class TestFit:
 
 
 class TestSweep:
-    def test_full_rank_zero_error(self, s1_csv, capsys):
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "2",
-        ) == 0
-        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert len(rows) == 6
-        for rec in rows:
-            if rec["r"] == 2:
-                assert rec["overall_err"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_pca_has_lowest_overall_error(self, s1_csv, capsys):
-        run_cli("sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-                "--max-rank", "2")
-        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        by_rank = {}
-        for rec in rows:
-            by_rank.setdefault(rec["r"], {})[rec["method"]] = rec["overall_err"]
-        for errs in by_rank.values():
-            assert errs["pca"] <= errs["ufpca"] + 1e-9
-            assert errs["pca"] <= errs["cfpca"] + 1e-9
-
-    def test_report_files_and_self_consistency(self, s1_csv, tmp_path):
-        out = tmp_path / "report.jsonl"
-        assert run_cli(
-            "sweep", "--input", str(s1_csv), "--sensitive-col", "group",
-            "--max-rank", "2", "--output", str(out),
-        ) == 0
-        csv_path = tmp_path / "report.csv"
-        assert out.exists() and csv_path.exists()
-        records = load_report(out)
-        assert all(row["dataset_id"] == "s1" for row in records)
-        seen = set()
-        per_method = {}
-        for row in records:
-            assert (row["r"], row["method"]) not in seen
-            seen.add((row["r"], row["method"]))
-            per_method.setdefault(row["method"], []).append(row["r"])
-            assert row["fairness"] == pytest.approx(row["disparity"]**2, rel=1e-12, abs=1e-300)
-        for ranks in per_method.values():
-            assert ranks == sorted(ranks)
-            assert len(set(ranks)) == len(ranks)
-
     def test_report_reads_back_equal(self, s1_csv, tmp_path):
         # a report holds nothing that its JSONL file leaves out
         out = tmp_path / "report.jsonl"
@@ -314,10 +207,8 @@ class TestDeterminism:
         two.mkdir()
         assert self.written(argv, table, one) == self.written(argv, table, two)
 
-    def test_repeated_sweep_byte_identical(self, s1_csv, tmp_path):
-        self.assert_repeatable(SWEEP, s1_csv, tmp_path)
-
     @pytest.mark.parametrize("argv", [
+        pytest.param(SWEEP, id="sweep"),
         pytest.param((*SWEEP, "--balanced"), id="sweep-balanced"),
         pytest.param((*SWEEP, "--tol", "1e-2"), id="sweep-tol"),
         pytest.param(FIT_BALANCED, id="fit-balanced"),
@@ -875,12 +766,6 @@ class TestSharedWork:
                            "--max-rank", max_rank) == 0
             assert len(grams) == 3
         capsys.readouterr()
-
-    def test_fit_computes_grams_once(self, wide_csv, grams, capsys):
-        assert run_cli("fit", "--input", str(wide_csv), "--sensitive-col", "group",
-                       "--method", "ufpca", "--rank", "2") == 0
-        capsys.readouterr()
-        assert len(grams) == 3
 
 
 class TestTimingLog:
