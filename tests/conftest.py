@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fairdim.dataset import RawTable, s1_table, write_table
-from fairdim.linalg import LinalgError
+from fairdim.fairpca import Moments
+from fairdim.linalg import LinalgError, scaled_gram
 
 _PROJ_ORTHO_TOL = 1e-6
 
@@ -72,6 +73,18 @@ def centered(table: RawTable) -> np.ndarray:
     """The table's rows minus each column's mean over all rows: the
     reference for the rows ``fairpca.prepare`` takes its moments of."""
     return table.features - table.features.mean(axis=0)
+
+
+def moments_of(x_a, x_b) -> Moments:
+    """The second moments of two row groups, ``x_a`` as group ``a``."""
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    x = np.vstack([x_a, x_b])
+    return Moments(
+        c=scaled_gram(x, x.shape[0]),
+        c_a=scaled_gram(x_a, x_a.shape[0]),
+        c_b=scaled_gram(x_b, x_b.shape[0]),
+    )
 
 
 def random_grouped(rng: np.random.Generator, n_a: int, n_b: int, d: int) -> RawTable:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdim import cli, dataset, fairpca
+from fairdim import cli, dataset, fairpca, report
 from fairdim.dataset import (
     DataError, balance, load_grouped, load_table, s1_table, write_table,
 )
@@ -57,12 +57,19 @@ def s1_csv(tmp_path):
 
 
 class TestGen:
-    def test_seed_sets_the_bytes(self, tmp_path):
-        paths = [tmp_path / name for name in ("a.csv", "b.csv", "seed7.csv")]
-        for path, extra in zip(paths, ([], [], ["--seed", "7"])):
-            assert run_cli("gen", "--out", str(path), *extra) == 0
-        a, b, seed7 = (path.read_bytes() for path in paths)
-        assert a == b != seed7
+    def test_deterministic_bytes(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert run_cli("gen", "--out", str(a)) == 0
+        assert run_cli("gen", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_changes_content(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        run_cli("gen", "--out", str(a))
+        run_cli("gen", "--out", str(b), "--seed", "7")
+        assert a.read_bytes() != b.read_bytes()
 
     def test_negative_seed_refused_at_parse(self, tmp_path, capsys):
         out = tmp_path / "neg.csv"
@@ -89,6 +96,10 @@ class TestGen:
 
 
 class TestFit:
+    def test_fit_one_refuses_unknown_method(self, s1_grouped):
+        with pytest.raises(ValueError, match="unknown method"):
+            report.fit_one(search(prepare(s1_grouped), 1), "lda")
+
     def test_balanced_fit_matches_library(self, toy_csv, tmp_path):
         # the file `fit --output` writes is the library's record, byte for
         # byte, for every method with and without --balanced
@@ -207,8 +218,10 @@ class TestDeterminism:
         two.mkdir()
         assert self.written(argv, table, one) == self.written(argv, table, two)
 
+    def test_repeated_sweep_byte_identical(self, s1_csv, tmp_path):
+        self.assert_repeatable(SWEEP, s1_csv, tmp_path)
+
     @pytest.mark.parametrize("argv", [
-        pytest.param(SWEEP, id="sweep"),
         pytest.param((*SWEEP, "--balanced"), id="sweep-balanced"),
         pytest.param((*SWEEP, "--tol", "1e-2"), id="sweep-tol"),
         pytest.param(FIT_BALANCED, id="fit-balanced"),

@@ -16,9 +16,10 @@ from fairdim.dataset import (
     s1_table,
     write_table,
 )
-from fairdim.fairpca import prepare
+from fairdim.fairpca import Moments, prepare
+from fairdim.linalg import scaled_gram
 
-from conftest import make_table, row_labels
+from conftest import centered, make_table, row_labels
 
 
 def write_csv(path, text):
@@ -42,6 +43,34 @@ class TestLoadTable:
         with pytest.raises(DataError, match="cannot open"):
             load_table(tmp_path / "nope.csv", "h")
 
+    def test_missing_column(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "x,y\n1,2\n")
+        with pytest.raises(DataError, match="sensitive column"):
+            load_table(path, "h")
+
+    def test_non_numeric_cell(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "h,x\na,1\nb,oops\n")
+        with pytest.raises(DataError, match="non-numeric"):
+            load_table(path, "h")
+
+    def test_wrong_group_count(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "h,x\na,1\nb,2\nc,3\n")
+        with pytest.raises(DataError, match="3 distinct"):
+            load_table(path, "h")
+        path = write_csv(tmp_path / "u.csv", "h,x\na,1\na,2\n")
+        with pytest.raises(DataError, match="1 distinct"):
+            load_table(path, "h")
+
+    def test_empty_file(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "")
+        with pytest.raises(DataError, match="empty file"):
+            load_table(path, "h")
+
+    def test_duplicated_sensitive_column(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "group,x,group\na,1,a\nb,2,b\n")
+        with pytest.raises(DataError, match="ambiguous header"):
+            load_table(path, "group")
+
     def test_blank_header_line(self, tmp_path):
         # csv.reader reads a blank line as no fields at all, not one empty one
         path = write_csv(tmp_path / "t.csv", "\na,1\nb,2\n")
@@ -53,6 +82,17 @@ class TestLoadTable:
         path = write_csv(tmp_path / "t.csv", f"h,x\na,{padded}\nb,2\n")
         with pytest.raises(DataError, match="t.csv:2: field larger than field limit"):
             load_table(path, "h")
+
+    def test_only_sensitive_column(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "h\na\nb\n")
+        with pytest.raises(DataError, match="no feature columns"):
+            load_table(path, "h")
+
+    def test_labels_verbatim(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "h,x\n 1,1\n1.0,2\n")
+        table = load_table(path, "h")
+        assert table.in_a.tolist() == [True, False]
+        assert (table.label_a, table.label_b) == (" 1", "1.0")
 
     def test_round_trip(self, tmp_path):
         table = make_table([[1.5, -2.0], [0.25, 3.0]], ["a", "b"])
@@ -85,8 +125,6 @@ PARITY_CASES = {
     "benchmark_form_crlf": ("x,y,h\r\n-0.30000000000000004,1.5e-05,g0\r\n2.0,0.1,g1\r\n",
                             [[-0.30000000000000004, 1.5e-05], [2.0, 0.1]], ("g0", "g1"),
                             "plain"),
-    "bad_cell": ("h,x\na,1\nb,oops\n",
-                 "{path}:3: non-numeric cell 'oops' in column 'x'", None, "cells"),
     "crlf_bad_cell": ("h,x\r\na,1\r\nb,zz\r\n",
                       "{path}:3: non-numeric cell 'zz' in column 'x'", None, "cells"),
     "crlf_quoted": ('h,x\r\n"a",1\r\nb,2\r\n', [[1.0], [2.0]], ("a", "b"), "cells"),
@@ -111,20 +149,7 @@ PARITY_CASES = {
     "header_only": ("h,x\n",
                     "{path}: sensitive column 'h' has 0 distinct values, expected exactly 2",
                     None, "cells"),
-    "empty_file": ("", "{path}: empty file, expected a header row", None, "cells"),
     "missing_column": ("x,y\n1,2\n", "{path}: sensitive column 'h' not in header", None, "plain"),
-    "ambiguous_header": ("h,x,h\na,1,a\nb,2,b\n",
-                         "{path}: ambiguous header, sensitive column 'h' appears more than once",
-                         None, "plain"),
-    "only_sensitive_column": ("h\na\nb\n", "{path}: no feature columns besides 'h'", None, "plain"),
-    "one_group": ("h,x\na,1\na,2\n",
-                  "{path}: sensitive column 'h' has 1 distinct values, expected exactly 2",
-                  None, "plain"),
-    "three_groups": ("h,x\na,1\nb,2\nc,3\n",
-                     "{path}: sensitive column 'h' has 3 distinct values, expected exactly 2",
-                     None, "plain"),
-    # labels are taken verbatim, not stripped or parsed
-    "labels_verbatim": ("h,x\n 1,1\n1.0,2\n", [[1.0], [2.0]], (" 1", "1.0"), "plain"),
     "sensitive_first": ("h,x,y\na,1.5,-2\nb,3,4e-3\n",
                         [[1.5, -2.0], [3.0, 0.004]], ("a", "b"), "plain"),
     "sensitive_middle": ("x,h,y\n1.5,a,-2\n3,b,4e-3\n",
@@ -342,6 +367,89 @@ class TestRawTable:
         with pytest.raises(DataError, match="one name required per feature column"):
             RawTable(np.zeros((3, 2)), np.array([True, False, True]), "a", "b",
                      ("f0",), "group")
+
+
+def _moments_bytes(m):
+    return m.c.tobytes(), m.c_a.tobytes(), m.c_b.tobytes()
+
+
+def _reference_moments(table):
+    """The moments of ``centered(table)`` and its two masked row groups."""
+    x = centered(table)
+    n_a = int(np.count_nonzero(table.in_a))
+    return Moments(
+        c=scaled_gram(x, x.shape[0]),
+        c_a=scaled_gram(x[table.in_a], n_a),
+        c_b=scaled_gram(x[~table.in_a], x.shape[0] - n_a),
+    )
+
+
+class TestCenterAndSplit:
+    """``prepare`` centers the table on its global column means and splits
+    the centered rows by the group mask."""
+
+    def test_mean_removal(self):
+        # centered rows are [1] (a) and [-1] (b); uncentered, c_a would be 4
+        m = prepare(make_table([[2.0], [0.0]], ["a", "b"])).moments
+        assert np.array_equal(m.c, [[1.0]])
+        assert np.array_equal(m.c_a, [[1.0]])
+        assert np.array_equal(m.c_b, [[1.0]])
+
+    def test_idempotent_on_centered(self):
+        feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
+        m = prepare(make_table(feats, ["a", "b"])).moments
+        assert m.c.tobytes() == scaled_gram(feats, 2).tobytes()
+        assert m.c_a.tobytes() == scaled_gram(feats[:1], 1).tobytes()
+        assert m.c_b.tobytes() == scaled_gram(feats[1:], 1).tobytes()
+
+    def test_hand_mean(self):
+        # centered rows [-1], [0] (a) and [1] (b)
+        p = prepare(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]))
+        assert np.array_equal(p.moments.c, [[2.0 / 3.0]])
+        assert np.array_equal(p.moments.c_a, [[0.5]])
+        assert np.array_equal(p.moments.c_b, [[1.0]])
+        assert p.labels == ("a", "b")
+
+    def test_groups_are_masked_rows_in_file_order(self):
+        labels = list("baabbaba")  # the first-seen group is "b"
+        table = make_table(np.arange(16.0).reshape(8, 2), labels)
+        assert table.in_a.tolist() == [lab == "b" for lab in labels]
+        p = prepare(table)
+        assert p.labels == ("b", "a")
+        x = centered(table)
+        assert p.moments.c_a.tobytes() == scaled_gram(x[[0, 3, 4, 6]], 4).tobytes()
+        assert p.moments.c_b.tobytes() == scaled_gram(x[[1, 2, 5, 7]], 4).tobytes()
+
+    def test_partition_is_row_permutation(self):
+        rng = np.random.default_rng(8)
+        feats = rng.standard_normal((12, 4))
+        labels = list("abbaabababba")
+        table = make_table(feats, labels)
+        m = prepare(table).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
+        # the two groups together hold every centered row exactly once
+        n_a = labels.count("a")
+        assert np.allclose(n_a * m.c_a + (12 - n_a) * m.c_b, 12 * m.c)
+
+    def test_columns_sum_to_zero(self):
+        rng = np.random.default_rng(9)
+        feats = rng.standard_normal((50, 6)) * 100.0 + 17.0
+        table = make_table(feats, ["a"] * 30 + ["b"] * 20)
+        m = prepare(table).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
+        assert np.max(np.abs(centered(table).sum(axis=0))) <= 1e-6 * 50
+
+    @pytest.mark.parametrize("offset", [1e9, 1e12])
+    def test_large_magnitude_column(self, offset):
+        # the round-off left after centering grows with the column's scale
+        rng = np.random.default_rng(10)
+        feats = np.column_stack([
+            offset * (1.0 + 0.01 * rng.standard_normal(30000)),
+            rng.standard_normal(30000),
+        ])
+        table = make_table(feats, ["a"] * 20000 + ["b"] * 10000)
+        m = prepare(table).moments
+        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
 
 
 class TestLoadGrouped:

